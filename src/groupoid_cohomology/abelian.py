@@ -1,9 +1,13 @@
 """Exact linear algebra over Z and over finitely generated abelian groups.
 
 Everything is integer-exact: matrices hold arbitrary-precision Python ints,
-groups are presented by generator orders (order 0 encodes an infinite cyclic
-factor, so reduction "mod 0" is no reduction), and kernels, images and
-homology are all computed through Smith normal form.
+and groups are presented by generator orders (order 0 encodes an infinite
+cyclic factor, so reduction "mod 0" is no reduction). The invariant factors
+of homology come from a sparse elimination on unit pivots modulo those
+orders, which keeps entries below the orders; dense Smith normal form only
+finishes the small residual block it leaves. Dense SNF with all four
+transforms still computes kernels, solutions, and homology with
+representative generators, whose values the extension tables depend on.
 
 >>> M = IntegerMatrix.from_rows([[2, 4], [6, 8]])
 >>> S, U, V = smith_normal_form(M)
@@ -107,10 +111,6 @@ class IntegerMatrix:
             raise ShapeError("row counts differ")
         return IntegerMatrix(self.rows, self.cols + other.cols,
                              [r1 + r2 for r1, r2 in zip(self.entries, other.entries)])
-
-    def transpose(self):
-        data = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return IntegerMatrix(self.cols, self.rows, data)
 
     def is_zero(self):
         return all(x == 0 for row in self.entries for x in row)
@@ -528,12 +528,240 @@ def _kernel_lattice(h):
     return IntegerMatrix(b, gens.cols, [gens.row(i) for i in range(b)])
 
 
+def _sparse_columns(M, orders):
+    """The columns of M as {row: entry} dicts, entries reduced mod the row orders."""
+    cols = [{} for _ in range(M.cols)]
+    for i, (row, o) in enumerate(zip(M.entries, orders)):
+        for j, x in enumerate(row):
+            if o:
+                x %= o
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _reduced(vec, orders):
+    """A sparse vector with each coordinate reduced mod its order, zeros dropped."""
+    out = {}
+    for c, x in vec.items():
+        if orders[c]:
+            x %= orders[c]
+        if x:
+            out[c] = x
+    return out
+
+
+def _unit_eliminate(cols, orders, track=None, track_orders=None):
+    """Eliminate unit pivots from sparse columns, in place; returns the pivot count.
+
+    cols[j] is a dict {row: entry}. The routine works on the column lattice of
+    [A | diag(orders)], order 0 marking an infinite row, so entries in a finite
+    row stay reduced mod its order: that adds multiples of the row's relation
+    column, which no step touches until the row is pivoted. A pivot is an
+    entry that is a unit mod its row's order (+-1 on an infinite row), of
+    least Markowitz cost (nnz(col) - 1) * (nnz(row) - 1). Pivoting on (i, p)
+    clears row i from the other columns, then removes row i and replaces
+    column p by orders[i] * column p (by zero on an infinite row). Both
+    readings of the matrix survive this step:
+
+    - the quotient Z^rows / [A | diag(orders)] is the same quotient on the
+      rows left: there e_i = -u^-1 (rest of column p) for the pivot u, and the
+      relation orders[i] * e_i becomes orders[i] * (rest of column p);
+    - in the kernel {x : A x = 0 mod orders} the coordinate of column p is a
+      multiple of orders[i] once row i is cleared. With `track`, one sparse
+      vector per column that undergoes the same column operations, the kernel
+      is the span of the tracked vectors over the kernel of what is left.
+      Tracked coordinates stay reduced mod `track_orders`, which is exact
+      when the kernel contains track_orders[c] * e_c.
+
+    The columns still nonzero when no unit is left form the residual block.
+
+    >>> cols = [{0: 1, 1: 2}, {0: 3, 1: 2}, {1: 2}]   # A over (Z/4)^2
+    >>> track = [{0: 1}, {1: 1}, {2: 1}]
+    >>> _unit_eliminate(cols, [4, 4], track, [4, 4, 4])
+    1
+    >>> cols                          # 2 is no unit mod 4: a residual column
+    [{}, {}, {1: 2}]
+    >>> track                         # e0 + e1 is in the kernel
+    [{}, {1: 1, 0: 1}, {2: 1}]
+    """
+    rows = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    row_nnz, col_nnz = {}, {}  # nnz -> the rows (columns) with that many entries
+
+    def move(buckets, key, old, new):
+        if old:
+            bucket = buckets[old]
+            bucket.discard(key)
+            if not bucket:
+                del buckets[old]
+        if new:
+            buckets.setdefault(new, set()).add(key)
+
+    def link(r, j):
+        move(row_nnz, r, len(rows[r]), len(rows[r]) + 1)
+        rows[r].add(j)
+
+    def unlink(r, j):
+        move(row_nnz, r, len(rows[r]), len(rows[r]) - 1)
+        rows[r].discard(j)
+
+    for i, js in rows.items():
+        move(row_nnz, i, 0, len(js))
+    for j, col in enumerate(cols):
+        move(col_nnz, j, 0, len(col))
+
+    def is_unit(i, x):
+        return gcd(x, orders[i]) == 1 if orders[i] else abs(x) == 1
+
+    def choose_pivot():
+        # Rows and columns by increasing nnz k; an entry not yet seen after
+        # count k lies in a row and a column of more than k entries, and of
+        # at least the least count of any row (column).
+        best, best_cost = None, None
+        if not row_nnz:
+            return None
+        rmin, cmin = min(row_nnz), min(col_nnz)
+        top = max(max(row_nnz), max(col_nnz))
+        for k in range(min(rmin, cmin), top + 1):
+            candidates = [(i, j) for i in row_nnz.get(k, ()) for j in rows[i]]
+            candidates += [(i, j) for j in col_nnz.get(k, ()) for i in cols[j]]
+            for i, j in candidates:
+                if is_unit(i, cols[j][i]):
+                    cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
+                    if best is None or cost < best_cost:
+                        best, best_cost = (i, j), cost
+                        if cost == 0:
+                            return best
+            if best is not None and best_cost <= max(k, rmin - 1) * max(k, cmin - 1):
+                return best
+        return best
+
+    pivots = 0
+    while (pivot := choose_pivot()) is not None:
+        i, p = pivot
+        pivots += 1
+        o, colp = orders[i], cols[p]
+        q_unit = pow(colp[i], -1, o) if o else colp[i]
+        for j in [j for j in rows[i] if j != p]:
+            col = cols[j]
+            q = col[i] * q_unit % o if o else col[i] * q_unit
+            before = len(col)
+            for r, v in colp.items():
+                x = col.get(r, 0) - q * v
+                if orders[r]:
+                    x %= orders[r]
+                if x:
+                    if r not in col:
+                        link(r, j)
+                    col[r] = x
+                elif r in col:
+                    del col[r]
+                    unlink(r, j)
+            move(col_nnz, j, before, len(col))
+            if track is not None and track[p]:
+                tj = track[j]
+                for c, v in track[p].items():
+                    tj[c] = tj.get(c, 0) - q * v
+                track[j] = _reduced(tj, track_orders)
+        before = len(colp)
+        for r in list(colp):
+            x = o * colp[r] % orders[r] if orders[r] else o * colp[r]
+            if x and r != i:
+                colp[r] = x
+            else:
+                del colp[r]
+                unlink(r, p)
+        move(col_nnz, p, before, len(colp))
+        del rows[i]
+        if track is not None:
+            track[p] = _reduced({c: o * v for c, v in track[p].items()}, track_orders)
+    return pivots
+
+
+def _residual_block(cols, orders):
+    """The nonzero columns, by index, and as a dense block stacked with the
+    relations diag(orders) of the rows they meet."""
+    live = [j for j, col in enumerate(cols) if col]
+    rows = sorted({i for j in live for i in cols[j]})
+    data = [[cols[j].get(i, 0) for j in live]
+            + [orders[i] if a == b else 0 for b in range(len(rows))]
+            for a, i in enumerate(rows)]
+    return live, IntegerMatrix(len(rows), len(live) + len(rows), data)
+
+
+def _sparse_kernel(cols, orders, track, track_orders):
+    """Generators of {x : A x = 0 mod orders} in tracked coordinates.
+
+    They are reduced mod track_orders; the kernel also holds every
+    track_orders[c] * e_c. The residual block of _unit_eliminate goes to the
+    dense kernel_basis.
+    """
+    _unit_eliminate(cols, orders, track, track_orders)
+    gens = [t for col, t in zip(cols, track) if not col and t]
+    live, block = _residual_block(cols, orders)
+    if live:
+        for v in kernel_basis(block).columns():
+            acc = {}
+            for a, j in enumerate(live):
+                for c, x in track[j].items():
+                    acc[c] = acc.get(c, 0) + v[a] * x
+            acc = _reduced(acc, track_orders)
+            if acc:
+                gens.append(acc)
+    return gens
+
+
+def _homology_factors(cx, n):
+    """The factors of homology_at(cx, n), from three passes of _unit_eliminate."""
+    mid = cx.groups[n]
+    out, into = cx.map_out_of(n), cx.map_into(n)
+    s, t = mid.orders, out.target.orders
+    dcols = _sparse_columns(out.matrix, t)
+    bcols = _sparse_columns(into.matrix, s)
+    # the dense path's check: diag(s) and im maps[n-1] must lie in ker maps[n]
+    for z in [{j: d} for j, d in enumerate(s) if d] + bcols:
+        image = {}
+        for j, a in z.items():
+            for i, x in dcols[j].items():
+                image[i] = image.get(i, 0) + a * x
+        if _reduced(image, t):
+            raise ArithmeticError("image does not lie in the kernel; not a complex at this degree")
+    # 1. cocycles: K = {x : maps[n] x = 0}, kept mod s. The generators
+    #    s_c e_c that K also holds die in the quotient, so they are left out.
+    K = _sparse_kernel(dcols, t, [_reduced({c: 1}, s) for c in range(mid.ngens)], s)
+    k = len(K)
+    # 2. Y = {y in Z^k : K y in im maps[n-1] + diag(s)}, the kernel of
+    #    [K | maps[n-1]] mod s projected to y. With L = lcm(s), Y holds L Z^k.
+    L = lcm(*s)
+    Lk = [L] * k
+    Y = _sparse_kernel(K + bcols, s, [{y: 1} for y in range(k)] + [{} for _ in bcols], Lk)
+    # 3. H = Z^k / (Y + L Z^k): unit pivots, then dense SNF on the residual
+    #    block. Its factors divide L, so the rows never touched come last.
+    pivots = _unit_eliminate(Y, Lk)
+    live, block = _residual_block(Y, Lk)
+    rest = invariant_factors_of_presentation(block.rows, block) if live else InvariantFactors((), 0)
+    untouched = k - pivots - block.rows
+    return InvariantFactors(rest.torsion + ((L,) * untouched if L > 1 else ()),
+                            rest.free_rank + (untouched if L == 0 else 0))
+
+
 def homology_at(cx, n, with_generators=False):
     """Ker(maps[n]) / Im(maps[n-1]) in canonical invariant-factor form.
 
     Boundary degrees use zero maps at the ends. With with_generators=True the
     result is a pair (factors, gens) where gens holds one representative
     element of groups[n] per canonical factor, torsion generators first.
+
+    The factors alone come from sparse elimination on unit pivots modulo the
+    generator orders (_unit_eliminate), which keeps entries below the orders
+    and leaves dense SNF only a small residual block. The generators still
+    come from the dense path (_kernel_lattice, solve_columns and a final
+    SNF with all four transforms): the representatives depend on the basis
+    each elimination picks, and the extension and Baer tables of `classify`
+    (and the CLI's --json output) are built from these ones.
 
     >>> Z = FinAbGroup((0,))
     >>> times2 = AbHom(Z, Z, IntegerMatrix.from_rows([[2]]))
@@ -542,6 +770,8 @@ def homology_at(cx, n, with_generators=False):
     """
     if not 0 <= n < len(cx.groups):
         raise IndexError(f"degree {n} out of range")
+    if not with_generators:
+        return _homology_factors(cx, n)
     mid = cx.groups[n]
     K = _kernel_lattice(cx.map_out_of(n))  # columns generate the cocycle lattice in Z^b
     k = K.cols
@@ -556,8 +786,6 @@ def homology_at(cx, n, with_generators=False):
     torsion_positions = [(i, d) for i, d in enumerate(diag) if d >= 2]
     nonzero = sum(1 for d in diag if d != 0)
     result = InvariantFactors(tuple(d for _, d in torsion_positions), k - nonzero)
-    if not with_generators:
-        return result
     free_positions = [i for i in range(k) if i >= len(diag) or diag[i] == 0]
     gens = []
     for i, _ in torsion_positions + [(i, 0) for i in free_positions]:

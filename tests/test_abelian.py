@@ -1,6 +1,10 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+from timing import time_limit
+
+from groupoid_cohomology import abelian
 from groupoid_cohomology.abelian import (
     AbComplex,
     AbHom,
@@ -17,6 +21,10 @@ from groupoid_cohomology.abelian import (
     smith_normal_form,
     solve_columns,
 )
+from groupoid_cohomology.cohomology import cochain_complex
+from groupoid_cohomology.gmodule import GModule, disjoint_union_module, pullback_module
+from groupoid_cohomology.groupoid import cover_groupoid, cyclic_group, disjoint_union, unit_groupoid
+from groupoid_cohomology.randomized import random_instance, random_object_cover
 
 matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -202,6 +210,83 @@ def test_homology_matches_enumeration_oracle(data):
     cx = AbComplex((A, B, C), (f, g))
     assert cx.is_complex()
     assert homology_at(cx, 1) == _enumeration_homology(cx, 1)
+
+
+def _two_fiber_instance(rng):
+    """C2 acting by -1 on Z/q (q odd) beside a point with a 2-group fiber,
+    seen through a random cover groupoid: fiber orders with two primes."""
+    C2 = cyclic_group(2)
+    Zq = FinAbGroup((rng.choice((3, 5)),))
+    neg = AbHom(Zq, Zq, IntegerMatrix.from_rows([[-1]]))
+    A1 = GModule(C2, (Zq,), (AbHom.identity(Zq), neg))
+    V = FinAbGroup(rng.choice(((2, 2), (2, 4), (4,))))
+    A2 = GModule(unit_groupoid(1), (V,), (AbHom.identity(V),))
+    G, inc1, inc2 = disjoint_union(C2, unit_groupoid(1))
+    A = disjoint_union_module(G, inc1, inc2, A1, A2)
+    cg = cover_groupoid(G, random_object_cover(rng, G, max_sets=2))
+    return cg.groupoid, pullback_module(cg.canon, A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.booleans())
+def test_factors_only_matches_dense_path(seed, n, two_fiber):
+    # the factors-only path (sparse elimination) against the dense path kept
+    # for with_generators=True, on cochain complexes of random groupoids
+    rng = random.Random(seed)
+    if two_fiber:
+        G, A = _two_fiber_instance(rng)
+    else:
+        G, A = random_instance(rng, max_arrows=8, allow_infinite=True)
+    cx = cochain_complex(G, A, n + 1)
+    got = homology_at(cx, n)
+    # The dense path has no bound on integer growth: on about one complex in
+    # a hundred here (two primes among the orders) it runs for minutes. Such
+    # a draw gives no reference and is rejected.
+    try:
+        with time_limit(3):
+            want = homology_at(cx, n, with_generators=True)[0]
+    except TimeoutError:
+        reject()
+    assert got == want
+
+
+def _chain(orders, entries):
+    """Cyclic groups of the given orders joined by multiplication maps."""
+    groups = tuple(FinAbGroup((o,)) for o in orders)
+    maps = tuple(AbHom(a, b, IntegerMatrix.from_rows([[e]]))
+                 for a, b, e in zip(groups, groups[1:], entries))
+    return AbComplex(groups, maps)
+
+
+@pytest.mark.parametrize("orders, entries, n, want, dense", [
+    # 2 is no unit mod 4 and no unit on a Z row: dense SNF on the residual
+    ((4, 4, 4), (2, 2), 0, ((2,), 0), True),
+    ((4, 4, 4), (2, 2), 1, ((), 0), True),
+    ((4, 4, 4), (2, 2), 2, ((2,), 0), True),
+    ((0, 0), (2,), 0, ((), 0), True),
+    ((0, 0), (2,), 1, ((2,), 0), True),
+    ((0, 4), (2,), 1, ((2,), 0), True),
+    # unit pivots only: no dense SNF at all
+    ((4, 4), (1,), 0, ((), 0), False),
+    ((4, 4), (1,), 1, ((), 0), False),
+    ((0, 0), (-1,), 1, ((), 0), False),
+])
+def test_factors_only_residual_branch(monkeypatch, orders, entries, n, want, dense):
+    cx = _chain(orders, entries)
+    assert homology_at(cx, n, with_generators=True)[0] == InvariantFactors(*want)
+    calls = []
+    snf = abelian._smith_with_inverses
+    monkeypatch.setattr(abelian, "_smith_with_inverses",
+                        lambda M: calls.append((M.rows, M.cols)) or snf(M))
+    assert homology_at(cx, n) == InvariantFactors(*want)
+    assert bool(calls) == dense
+
+
+def test_factors_only_rejects_a_non_complex():
+    with pytest.raises(ArithmeticError):
+        homology_at(_chain((0, 0, 0), (1, 1)), 1)
+    with pytest.raises(ArithmeticError):  # Z/2 --1--> Z/4 is not well defined
+        homology_at(_chain((2, 4), (1,)), 0)
 
 
 def test_homology_degree_out_of_range():

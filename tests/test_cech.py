@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from timing import time_limit
 
 from groupoid_cohomology.abelian import (
     AbHom,
@@ -154,6 +155,25 @@ def test_cech_matches_groupoid_cohomology():
         want = cohomology(C2, A22, n)
         assert cech_cohomology_on_cover(space, coeffs, MaximalSimplicialCover(space), n) == want
         assert cech_cohomology_on_cover(space, coeffs, single_set_cover(space, n + 1), n) == want
+
+
+def test_cech_c5_maximal_cover_degree_two_is_bounded():
+    # the dense final SNF grew entries past 2,000 bits here and ran for
+    # over ten minutes
+    C5 = cyclic_group(5)
+    space = NerveSpace(C5)
+    coeffs = ModuleCoefficients(constant_module(C5, FinAbGroup((5,))))
+    with time_limit(30):
+        got = cech_cohomology_on_cover(space, coeffs, MaximalSimplicialCover(space), 2)
+    assert got == InvariantFactors((5,), 0)
+
+
+def test_cyclic_six_degree_three_is_bounded():
+    # 216 -> 1296 cochain generators; the dense path took minutes
+    C6 = cyclic_group(6)
+    with time_limit(10):
+        got = cohomology(C6, constant_module(C6, FinAbGroup((6,))), 3)
+    assert got == InvariantFactors((6,), 0)
 
 
 def test_cech_constant_space_partition():
