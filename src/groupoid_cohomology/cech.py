@@ -9,10 +9,19 @@ cardinality then lexicographically), with pieces
     U^n_lambda = intersection over f of f~^{-1}(U^k_{lambda(f)}).
 
 Cochain complexes live on such families via (dc)_i = sum (-1)^k eps_k~* of
-c at the face of the index. Refinements act by index substitution, and two
-refinements into a cover carrying a full (N-)simplicial index structure are
-homotopic through the explicit operator H whose index combinatorics
-(alpha_k, with the three-way case split) is implemented verbatim.
+c at the face of the index. One face table drives every coboundary, as in
+the groupoid complex: `cell_faces` lists the faces of a cell (face index,
+face point, restriction), `ss_differential_value` sums them on one cell, and
+`assemble_complex` indexes them by cell position and hands the table to
+`cohomology.assemble_coboundary`, the assembler of `differential_matrix`, in
+one pass over the cells. Matrix entries are left unreduced modulo the target
+orders; they differ from reduced ones by multiples of the orders, which the
+factors-only `homology_at` reduces on entry, so the factors are the same.
+
+Refinements act by index substitution, and two refinements into a cover
+carrying a full (N-)simplicial index structure are homotopic through the
+explicit operator H whose index combinatorics (alpha_k, with the three-way
+case split) is implemented verbatim.
 
 Pieces with empty carriers are pruned from complex assembly; pruning is
 face-closed, so the pruned and unpruned complexes agree.
@@ -24,8 +33,8 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .abelian import AbComplex, AbHom, FinAbGroup, IntegerMatrix, ShapeError, homology_at
-from .cohomology import tuple_fiber
+from .abelian import AbComplex, FinAbGroup, ShapeError, homology_at
+from .cohomology import alternating_sum, assemble_coboundary, tuple_fiber
 from .groupoid import MonotoneMap, simplicial_map
 
 
@@ -87,7 +96,8 @@ class ConstantSpace:
 class ModuleCoefficients:
     """The coefficient system of a module on a nerve, in the twisted
     convention: the fiber over a tuple sits at its 0-th vertex, and the
-    restriction along f twists by the action of g_1 ... g_{f(0)}."""
+    restriction along f twists by the action of g_1 ... g_{f(0)}, the empty
+    product (f(0) = 0) acting as the identity, returned as None."""
 
     def __init__(self, module):
         self.module = module
@@ -99,6 +109,8 @@ class ModuleCoefficients:
     def restrict(self, f, point):
         G = self.module.base
         j = f.values[0]
+        if j == 0:
+            return None
         key = (point.obj, point.arrows[:j])
         out = self._hom_cache.get(key)
         if out is None:
@@ -110,17 +122,16 @@ class ModuleCoefficients:
 
 
 class ConstantCoefficients:
-    """One abelian group everywhere; restrictions are the identity."""
+    """One abelian group everywhere; restrictions are the identity (None)."""
 
     def __init__(self, group):
         self.group = group
-        self._id = AbHom.identity(group)
 
     def fiber(self, n, point):
         return self.group
 
     def restrict(self, f, point):
-        return self._id
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +177,6 @@ def validate_cover(space, cover, top):
 def single_set_cover(space, top):
     """One piece per level: the whole space."""
     return Cover.from_sets([[frozenset(space.points(n))] for n in range(top + 1)])
-
-
-class TrivialSimplicialCover:
-    """The single-set cover with its (unique) simplicial index structure."""
-
-    def __init__(self, space):
-        self.space = space
-
-    def indices(self, n):
-        return (0,)
-
-    def index_count(self, n):
-        return 1
-
-    def set_of(self, n, i):
-        return frozenset(self.space.points(n))
-
-    def containing(self, n, point):
-        return (0,)
-
-    def jmap(self, f, label):
-        return 0
 
 
 class MaximalSimplicialCover:
@@ -550,21 +539,29 @@ def ss_lookup(c):
     return lambda label, point: c.data[label][point]
 
 
+def cell_faces(space, coeffs, fam, n, label, point):
+    """The n+1 faces of a level-n cell, in order, as (face index, face point,
+    restriction), the restriction None when it is the identity.
+
+    Every coboundary over a family reads its faces here.
+    """
+    out = []
+    for k in range(n + 1):
+        eps = MonotoneMap.face(n, k)
+        out.append((fam.face_index(k, n, label), space.smap(eps, point),
+                    coeffs.restrict(eps, point)))
+    return out
+
+
 def ss_differential_value(space, coeffs, fam, c_at, n, label, point):
     """One cell of d(c) at level n+1, with c given as a degree-n lookup.
 
     Only the faces of the requested index are touched, so this works even
     when level n+1 is too large to enumerate.
     """
-    fib = coeffs.fiber(n + 1, point)
-    total = fib.zero()
-    for k in range(n + 2):
-        eps = MonotoneMap.face(n + 1, k)
-        src_label = fam.face_index(k, n + 1, label)
-        src_point = space.smap(eps, point)
-        term = coeffs.restrict(eps, point).apply(c_at(src_label, src_point))
-        total = fib.add(total, term) if k % 2 == 0 else fib.sub(total, term)
-    return total
+    return alternating_sum(coeffs.fiber(n + 1, point),
+                           ((c_at(src_label, src_point), r) for src_label, src_point, r
+                            in cell_faces(space, coeffs, fam, n + 1, label, point)))
 
 
 def ss_differential(space, coeffs, fam, c):
@@ -599,34 +596,30 @@ def ss_flatten(space, coeffs, fam, c):
 
 
 def assemble_complex(space, coeffs, fam, top, budget=DEFAULT_BUDGET):
-    """The cochain complex of a family as presented abelian groups."""
-    groups = []
-    coords = []
+    """The cochain complex of a family as presented abelian groups.
+
+    Each map is assembled from the family's face table, built from
+    cell_faces in one pass over the cells; entries stay unreduced modulo
+    the target orders.
+    """
+    cells, fibers = [], []
     for n in range(top + 1):
-        cells = complex_coordinates(space, coeffs, fam, n)
-        orders = []
-        for _, _, fib in cells:
-            orders.extend(fib.orders)
-        if len(orders) > budget.max_cells:
-            raise BudgetExceeded(f"complex level {n} has {len(orders)} coordinates")
-        groups.append(FinAbGroup(tuple(orders)))
-        coords.append(cells)
-
-    def flatten(c):
-        out = []
-        for label, p, fib in coords[c.degree]:
-            out.extend(c.data[label][p])
-        return tuple(out)
-
+        level = complex_coordinates(space, coeffs, fam, n)
+        fibs = [fib for _, _, fib in level]
+        ngens = sum(fib.ngens for fib in fibs)
+        if ngens > budget.max_cells:
+            raise BudgetExceeded(f"complex level {n} has {ngens} coordinates")
+        cells.append(level)
+        fibers.append(fibs)
     maps = []
     for n in range(top):
-        cols = []
-        for basis in ss_basis(space, coeffs, fam, n):
-            cols.append(flatten(ss_differential(space, coeffs, fam, basis)))
-        data = [[col[i] for col in cols] for i in range(groups[n + 1].ngens)]
-        maps.append(AbHom(groups[n], groups[n + 1],
-                          IntegerMatrix(groups[n + 1].ngens, groups[n].ngens, data)))
-    return AbComplex(tuple(groups), tuple(maps))
+        index = {(label, p): i for i, (label, p, _) in enumerate(cells[n])}
+        table = [tuple((index[(src_label, src_point)], r) for src_label, src_point, r
+                       in cell_faces(space, coeffs, fam, n + 1, label, p))
+                 for label, p, _ in cells[n + 1]]
+        maps.append(assemble_coboundary(fibers[n], fibers[n + 1], table))
+    groups = tuple(FinAbGroup(tuple(o for fib in fibs for o in fib.orders)) for fibs in fibers)
+    return AbComplex(groups, tuple(maps))
 
 
 def sigma_cover(space, cover, top, budget=DEFAULT_BUDGET):
@@ -714,7 +707,7 @@ def _alpha_slot(slot, k, n, fine_cover, lam, lam_slots_pos, theta0, theta1, vert
 
 
 def homotopy_operator(space, coeffs, sigma_coarse, sigma_fine, fine_cover,
-                      theta0, theta1, phi=None, degree=None, phi_at=None):
+                      theta0, theta1, phi=None, degree=None, phi_at=None, vertex_sub=False):
     """(H phi)_lambda = sum_k (-1)^k eta_k~* phi_{alpha_k(lambda)}.
 
     phi lives on sigma(coarse) at the given degree n; the result lives on
@@ -722,6 +715,8 @@ def homotopy_operator(space, coeffs, sigma_coarse, sigma_fine, fine_cover,
     structure (jmap) at the levels involved; theta0 and theta1 are refinement
     index maps from the fine to the coarse cover. phi may be given either
     materialized or as a cell lookup (so d(phi) never has to be enumerated).
+    vertex_sub=True takes the vertex-coherent substitution of the
+    constant-space comparison in place of theta1 (see _alpha_slot).
     """
     if not hasattr(fine_cover, "jmap"):
         raise ShapeError("the fine cover carries no simplicial index structure "
@@ -736,23 +731,37 @@ def homotopy_operator(space, coeffs, sigma_coarse, sigma_fine, fine_cover,
     big_slots = sigma_coarse.slots(n)
     t0 = theta0.theta if isinstance(theta0, Refinement) else theta0
     t1 = theta1.theta if isinstance(theta1, Refinement) else theta1
+    etas = [MonotoneMap.degeneracy(n - 1, k) for k in range(n)]
     data = {}
     for lam in sigma_fine.indices(n - 1):
-        alphas = [tuple(_alpha_slot(S, k, n, fine_cover, lam, lam_pos, t0, t1, False)
+        alphas = [tuple(_alpha_slot(S, k, n, fine_cover, lam, lam_pos, t0, t1, vertex_sub)
                         for S in big_slots)
                   for k in range(n)]
-        vals = {}
-        for v in sigma_fine.points_of(n - 1, lam):
-            fib = coeffs.fiber(n - 1, v)
-            total = fib.zero()
-            for k in range(n):
-                eta = MonotoneMap.degeneracy(n - 1, k)
-                up = space.smap(eta, v)
-                term = coeffs.restrict(eta, v).apply(phi_at(alphas[k], up))
-                total = fib.add(total, term) if k % 2 == 0 else fib.sub(total, term)
-            vals[v] = total
-        data[lam] = vals
+        data[lam] = {v: alternating_sum(coeffs.fiber(n - 1, v),
+                                        ((phi_at(alpha, space.smap(eta, v)),
+                                          coeffs.restrict(eta, v))
+                                         for alpha, eta in zip(alphas, etas)))
+                     for v in sigma_fine.points_of(n - 1, lam)}
     return SSCochain(n - 1, data)
+
+
+def _homotopy_side(space, coeffs, sigma_coarse, sigma_fine, fine_cover, theta0, theta1,
+                   phi, vertex_sub=False):
+    """dH(phi) + Hd(phi) over sigma_fine, with d(phi) evaluated on demand, so
+    only sigma levels n-1..n of the fine cover and level n of the coarse one
+    are ever enumerated."""
+    n = phi.degree
+
+    def h(**kwargs):
+        return homotopy_operator(space, coeffs, sigma_coarse, sigma_fine, fine_cover,
+                                 theta0, theta1, vertex_sub=vertex_sub, **kwargs)
+
+    d_h = (ss_differential(space, coeffs, sigma_fine, h(phi=phi)) if n >= 1
+           else ss_zero(space, coeffs, sigma_fine, n))
+    phi_at = ss_lookup(phi)
+    h_d = h(degree=n + 1, phi_at=lambda label, point: ss_differential_value(
+        space, coeffs, sigma_coarse, phi_at, n, label, point))
+    return ss_add(space, coeffs, sigma_fine, d_h, h_d)
 
 
 def check_homotopy_identity(space, coeffs, coarse, fine_cover, theta0, theta1,
@@ -760,21 +769,11 @@ def check_homotopy_identity(space, coeffs, coarse, fine_cover, theta0, theta1,
     """theta1* - theta0* = dH + Hd, evaluated exactly on one cochain.
 
     Returns the pair of sides as cochains over sigma(fine) for inspection.
-    d(phi) is evaluated on demand, so only sigma levels n-1..n of the fine
-    cover and level n of the coarse one are ever enumerated.
     """
     n = phi.degree
     sU = SigmaCover(space, coarse, n + 1, budget)
     sV = SigmaCover(space, fine_cover, n + 1, budget)
-    h_phi = homotopy_operator(space, coeffs, sU, sV, fine_cover, theta0, theta1, phi)
-    d_h = (ss_differential(space, coeffs, sV, h_phi) if n >= 1
-           else ss_zero(space, coeffs, sV, n))
-    phi_at = ss_lookup(phi)
-    d_phi_at = lambda label, point: ss_differential_value(
-        space, coeffs, sU, phi_at, n, label, point)
-    h_d = homotopy_operator(space, coeffs, sU, sV, fine_cover, theta0, theta1,
-                            degree=n + 1, phi_at=d_phi_at)
-    lhs = ss_add(space, coeffs, sV, d_h, h_d)
+    lhs = _homotopy_side(space, coeffs, sU, sV, fine_cover, theta0, theta1, phi)
     r1 = refinement_map(space, coeffs, sU, sV, theta1, phi)
     r0 = refinement_map(space, coeffs, sU, sV, theta0, phi)
     rhs = ss_sub(space, coeffs, sV, r1, r0)
@@ -788,8 +787,8 @@ def check_homotopy_identity(space, coeffs, coarse, fine_cover, theta0, theta1,
 @dataclass
 class ConstantComparison:
     """q and iota between the sigma-complex of the induced cover of a constant
-    space and the usual complex of the level-0 cover, plus the homotopy H
-    with dH + Hd = iota q - id."""
+    space and the usual complex of the level-0 cover; homotopy_operator with
+    vertex_sub=True is the homotopy H with dH + Hd = iota q - id."""
 
     space: ConstantSpace
     coeffs: object
@@ -818,48 +817,12 @@ class ConstantComparison:
             data[lam] = {p: c.data[label][p] for p in self.sigma.points_of(n, lam)}
         return SSCochain(n, data)
 
-    def homotopy(self, phi=None, degree=None, phi_at=None):
-        """H with the vertex-coherent substitution in the second branch."""
-        if phi is not None:
-            degree, phi_at = phi.degree, ss_lookup(phi)
-        n = degree
-        if n == 0:
-            return SSCochain(-1, {})
-        lam_slots = self.sigma.slots(n - 1)
-        lam_pos = {s: i for i, s in enumerate(lam_slots)}
-        big_slots = self.sigma.slots(n)
-        ident = lambda r, label: label
-        data = {}
-        for lam in self.sigma.indices(n - 1):
-            alphas = [tuple(_alpha_slot(S, k, n, self.cover, lam, lam_pos,
-                                        ident, None, True)
-                            for S in big_slots)
-                      for k in range(n)]
-            vals = {}
-            for v in self.sigma.points_of(n - 1, lam):
-                fib = self.coeffs.fiber(n - 1, v)
-                total = fib.zero()
-                for k in range(n):
-                    eta = MonotoneMap.degeneracy(n - 1, k)
-                    up = self.space.smap(eta, v)
-                    term = self.coeffs.restrict(eta, v).apply(phi_at(alphas[k], up))
-                    total = fib.add(total, term) if k % 2 == 0 else fib.sub(total, term)
-                vals[v] = total
-            data[lam] = vals
-        return SSCochain(n - 1, data)
-
     def check_identities(self, phi):
-        """Both sides of dH + Hd = iota q - id for one sigma-cochain, with
-        d(phi) evaluated on demand."""
-        n = phi.degree
-        h = self.homotopy(phi)
-        dh = (ss_differential(self.space, self.coeffs, self.sigma, h) if n >= 1
-              else ss_zero(self.space, self.coeffs, self.sigma, n))
-        phi_at = ss_lookup(phi)
-        d_phi_at = lambda label, point: ss_differential_value(
-            self.space, self.coeffs, self.sigma, phi_at, n, label, point)
-        hd = self.homotopy(degree=n + 1, phi_at=d_phi_at)
-        lhs = ss_add(self.space, self.coeffs, self.sigma, dh, hd)
+        """Both sides of dH + Hd = iota q - id for one sigma-cochain, H being
+        homotopy_operator with the vertex-coherent substitution, with d(phi)
+        evaluated on demand."""
+        lhs = _homotopy_side(self.space, self.coeffs, self.sigma, self.sigma, self.cover,
+                             lambda r, label: label, None, phi, vertex_sub=True)
         rhs = ss_sub(self.space, self.coeffs, self.sigma, self.iota(self.q(phi)), phi)
         return lhs, rhs
 

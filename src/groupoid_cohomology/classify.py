@@ -30,7 +30,7 @@ from .cohomology import (
     make_cochain,
     zero_cochain,
 )
-from .groupoid import FiniteGroupoid, GroupoidMorphism, NerveTuple, validate
+from .groupoid import FiniteGroupoid, GroupoidMorphism, NerveTuple, Report, validate
 
 
 class NotACocycleError(ValueError):
@@ -99,15 +99,6 @@ class Extension:
         return self.total.compose(self.inj[(x, fib.reduce(a))], e)
 
 
-@dataclass
-class ExtensionReport:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
-
-
 def validate_extension(E):
     """All extension axioms, exhaustively: groupoid axioms for the total,
     morphism/surjectivity of proj, fiberwise embedding of inj, exactness
@@ -116,9 +107,9 @@ def validate_extension(E):
     G, T, A = E.base, E.total, E.module
     rep = validate(T)
     if not rep.ok:
-        return ExtensionReport(False, ["total: " + f for f in rep.failures])
+        return Report(False, ["total: " + f for f in rep.failures])
     if T.n_objects != G.n_objects:
-        return ExtensionReport(False, ["object sets differ"])
+        return Report(False, ["object sets differ"])
     for e in T.arrows():
         g = E.proj[e]
         if T.src[e] != G.src[g] or T.tgt[e] != G.tgt[g]:
@@ -170,7 +161,7 @@ def validate_extension(E):
             if lhs != rhs:
                 fails.append(f"conjugation law fails at arrow {e}, a={a}")
                 break
-    return ExtensionReport(not fails, fails)
+    return Report(not fails, fails)
 
 
 def extension_from_cocycle(G, A, phi):
@@ -547,13 +538,8 @@ def restrict_cocycle_to_cover(G, A, phi, cover):
 
 
 @dataclass
-class PsiReport:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
+class PsiReport(Report):
     psi: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.ok
 
 
 def verify_psi_coherence(data):
@@ -750,15 +736,6 @@ class EquivariantTorsor:
         raise ValueError("points in different fibers")
 
 
-@dataclass
-class TorsorReport:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
-
-
 def validate_torsor(T):
     G, A = T.base, T.module
     fails = []
@@ -790,7 +767,7 @@ def validate_torsor(T):
             if defined != (T.anchor[p] == G.src[g]):
                 fails.append(f"arrow action domain wrong at ({g},{p})")
     if fails:
-        return TorsorReport(False, fails)
+        return Report(False, fails)
     for (g, p), q in T.g_act.items():
         if T.anchor[q] != G.tgt[g]:
             fails.append(f"anchor(g p) != r(g) at ({g},{p})")
@@ -808,7 +785,7 @@ def validate_torsor(T):
             if T.g_act[(g, T.translate(p, a))] != T.translate(q, A.act(g, a)):
                 fails.append(f"equivariance g(p+a) = gp + g.a fails at ({g},{p})")
                 break
-    return TorsorReport(not fails, fails)
+    return Report(not fails, fails)
 
 
 def torsor_from_cocycle(G, A, phi):

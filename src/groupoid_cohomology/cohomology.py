@@ -12,8 +12,17 @@ with the degree-0 case (dc)(g) = g . c(s(g)) - c(r(g)). Every term except the
 first already lives in the fiber at r(g1); the module action transports the
 first one, so the whole differential is "apply each face, twist the 0-th".
 
-Linearizing over the canonical nerve enumeration turns d into integer
-matrices, and H^n comes out of Smith normal form.
+One face table drives every coboundary. `G.face_table(n)` holds, for each
+(n+1)-tuple in canonical order, the positions of its n+2 faces in nerve(n);
+`face_table(G, A, n)` adds the restriction of each face (the action of g1 on
+face 0, None for the identity on the others). `differential` applies the
+table to cochain values, and `assemble_coboundary` turns it into the integer
+matrix in one pass over the table. The Cech complexes of `cech` go
+through the same assembler with their own tables. Entries are left
+unreduced modulo the target orders: the dense generator path of
+`homology_at` picks its representative cocycles from the exact entries, and
+the factors-only path reduces them on entry anyway. H^n then comes out of
+elimination.
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ from .abelian import (
     homology_at,
     image_membership_witness,
 )
-from .groupoid import face
 
 
 @dataclass(frozen=True)
@@ -94,14 +102,6 @@ def cochain_group(G, A, n):
     return FinAbGroup(tuple(orders))
 
 
-def _offsets(G, A, n):
-    offs, pos = [], 0
-    for t in G.nerve(n):
-        offs.append(pos)
-        pos += tuple_fiber(A, t).ngens
-    return offs, pos
-
-
 def flatten_cochain(G, A, c):
     out = []
     for v in c.values:
@@ -121,57 +121,79 @@ def unflatten_cochain(G, A, n, vector):
     return make_cochain(G, A, n, values)
 
 
+def alternating_sum(fib, terms):
+    """sum_k (-1)^k r_k(v_k), reduced into fib, for terms (v_k, r_k).
+
+    r_k is the restriction (an AbHom) carrying v_k into fib, or None when it
+    is the identity.
+    """
+    total = [0] * fib.ngens
+    for k, (v, r) in enumerate(terms):
+        if r is not None:
+            v = r.apply(v)
+        sign = -1 if k % 2 else 1
+        for i, x in enumerate(v):
+            total[i] += sign * x
+    return fib.reduce(total)
+
+
+def assemble_coboundary(source_fibers, target_fibers, table):
+    """The integer matrix of an alternating sum of face restrictions.
+
+    The face table has one row per target cell, listing its faces in order
+    as (position of the source cell, restriction), the restriction an AbHom
+    from the source fiber into the target fiber or None for the identity.
+    Each face adds sign times its restriction into one block, so the work
+    beyond allocating the dense matrix is linear in the number of nonzeros.
+    Entries are not reduced modulo the target orders.
+    """
+    source = FinAbGroup(tuple(o for fib in source_fibers for o in fib.orders))
+    target = FinAbGroup(tuple(o for fib in target_fibers for o in fib.orders))
+    offsets, pos = [], 0
+    for fib in source_fibers:
+        offsets.append(pos)
+        pos += fib.ngens
+    rows = [[0] * source.ngens for _ in range(target.ngens)]
+    base = 0
+    for fib, faces in zip(target_fibers, table):
+        block = rows[base:base + fib.ngens]
+        sign = 1
+        for s, r in faces:
+            col = offsets[s]
+            if r is None:
+                for i, row in enumerate(block):
+                    row[col + i] += sign
+            else:
+                for row, entries in zip(block, r.matrix.entries):
+                    for j, x in enumerate(entries, col):
+                        if x:
+                            row[j] += sign * x
+            sign = -sign
+        base += len(block)
+    return AbHom(source, target, IntegerMatrix(target.ngens, source.ngens, rows))
+
+
+def face_table(G, A, n):
+    """The face table of C^n -> C^{n+1}: face 0 of a tuple restricts by the
+    action of its first arrow, every other face by the identity."""
+    return [((faces[0], A.action(t.arrows[0])),) + tuple([(s, None) for s in faces[1:]])
+            for t, faces in zip(G.nerve(n + 1), G.face_table(n))]
+
+
 def differential(G, A, c):
     """The coboundary of a total degree-n cochain, as a degree-(n+1) cochain."""
     n = c.degree
-    index = G.nerve_index(n)
-    out = []
-    for t in G.nerve(n + 1):
-        fib = tuple_fiber(A, t)
-        first = A.act(t.arrows[0], c.values[index[face(G, 0, t)]])
-        total = fib.reduce(first)
-        for k in range(1, n + 2):
-            term = c.values[index[face(G, k, t)]]
-            total = fib.add(total, term) if k % 2 == 0 else fib.sub(total, term)
-        out.append(total)
-    return Cochain(n + 1, tuple(out))
+    values = c.values
+    return Cochain(n + 1, tuple(
+        alternating_sum(tuple_fiber(A, t), ((values[s], r) for s, r in faces))
+        for t, faces in zip(G.nerve(n + 1), face_table(G, A, n))))
 
 
 def differential_matrix(G, A, n):
-    """The linearized differential C^n -> C^{n+1}, one column per generator.
-
-    Columns are the differentials of the generators; a reverse face index
-    keeps each column's evaluation restricted to the tuples it feeds.
-    """
-    source = cochain_group(G, A, n)
-    target = cochain_group(G, A, n + 1)
-    src_offsets, _ = _offsets(G, A, n)
-    tgt_offsets, _ = _offsets(G, A, n + 1)
-    src_index = G.nerve_index(n)
-
-    incidences = [[] for _ in G.nerve(n)]
-    for ti, t in enumerate(G.nerve(n + 1)):
-        for k in range(n + 2):
-            s = face(G, k, t)
-            sign = 1 if k % 2 == 0 else -1
-            hom = A.action(t.arrows[0]) if k == 0 else None
-            incidences[src_index[s]].append((ti, sign, hom))
-
-    cols = []
-    for si, s in enumerate(G.nerve(n)):
-        fib = tuple_fiber(A, s)
-        for j in range(fib.ngens):
-            col = [0] * target.ngens
-            for ti, sign, hom in incidences[si]:
-                base = tgt_offsets[ti]
-                if hom is None:
-                    col[base + j] += sign
-                else:
-                    for i in range(hom.matrix.rows):
-                        col[base + i] += sign * hom.matrix[i, j]
-            cols.append(col)
-    data = [[col[i] for col in cols] for i in range(target.ngens)]
-    return AbHom(source, target, IntegerMatrix(target.ngens, source.ngens, data))
+    """The linearized differential C^n -> C^{n+1}, one column per generator."""
+    return assemble_coboundary([tuple_fiber(A, t) for t in G.nerve(n)],
+                               [tuple_fiber(A, t) for t in G.nerve(n + 1)],
+                               face_table(G, A, n))
 
 
 def cochain_complex(G, A, top):

@@ -9,10 +9,10 @@ the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abelian import AbHom, FinAbGroup, ShapeError, hom_is_well_defined
-from .groupoid import FiniteGroupoid, GroupoidMorphism
+from .groupoid import FiniteGroupoid, GroupoidMorphism, Report
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,6 @@ class GModule:
         return all(f.is_finite for f in self.fibers)
 
 
-@dataclass
-class ModuleReport:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
-
-
 def validate_module(A):
     """Exhaustive check of the module axioms over every arrow and pair.
 
@@ -71,7 +62,7 @@ def validate_module(A):
         if not hom_is_well_defined(h):
             fails.append(f"action of arrow {g} is not well defined on the presentation")
     if fails:
-        return ModuleReport(False, fails)
+        return Report(False, fails)
     for x in G.objects():
         if not A.actions[G.unit[x]].equals(AbHom.identity(A.fibers[x])):
             fails.append(f"unit of object {x} does not act as the identity")
@@ -83,21 +74,13 @@ def validate_module(A):
         both = A.actions[g].compose(A.actions[gi])
         if not both.equals(AbHom.identity(A.fibers[G.tgt[g]])):
             fails.append(f"action of arrow {g} is not invertible via its inverse arrow")
-    return ModuleReport(not fails, fails)
+    return Report(not fails, fails)
 
 
 def constant_module(G, B):
     """The constant module: fiber B everywhere, every arrow acting trivially."""
     fibers = tuple(B for _ in G.objects())
     actions = tuple(AbHom.identity(B) for _ in G.arrows())
-    return GModule(G, fibers, actions)
-
-
-def module_from_unit_action(G, B, unit_matrix_for):
-    """Module with constant fiber B where arrow g acts by a matrix depending
-    only on g; `unit_matrix_for(g)` returns the IntegerMatrix of alpha_g."""
-    fibers = tuple(B for _ in G.objects())
-    actions = tuple(AbHom(B, B, unit_matrix_for(g)) for g in G.arrows())
     return GModule(G, fibers, actions)
 
 

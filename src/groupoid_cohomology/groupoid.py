@@ -100,9 +100,6 @@ class MonotoneMap:
     def is_injective(self):
         return all(a < b for a, b in zip(self.values, self.values[1:]))
 
-    def is_surjective(self):
-        return set(self.values) == set(range(self.codomain + 1))
-
 
 def all_monotone_maps(k, n):
     """Every nondecreasing [k] -> [n], lexicographically."""
@@ -219,10 +216,27 @@ class FiniteGroupoid:
             self._nerve_cache[key] = {t: i for i, t in enumerate(self.nerve(n))}
         return self._nerve_cache[key]
 
+    def face_table(self, n):
+        """For each level-(n+1) tuple, the positions in nerve(n) of its n+2 faces.
+
+        This is the only place faces of nerve tuples are computed for
+        cochains; every coboundary of the groupoid complex reads this table.
+
+        >>> cyclic_group(2).face_table(1)
+        [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+        """
+        key = ("faces", n)
+        if key not in self._nerve_cache:
+            index = self.nerve_index(n)
+            ks = range(n + 2)
+            self._nerve_cache[key] = [tuple([index[face(self, k, t)] for k in ks])
+                                      for t in self.nerve(n + 1)]
+        return self._nerve_cache[key]
+
 
 @dataclass
-class GroupoidReport:
-    """Outcome of an exhaustive axiom check; failures carry witnesses."""
+class Report:
+    """Outcome of an exhaustive check; failures carry witnesses."""
 
     ok: bool
     failures: list[str] = field(default_factory=list)
@@ -277,7 +291,7 @@ def validate(G):
             fails.append(f"g * g^-1 != unit(r(g)) for arrow {g}")
         if G.comp.get((gi, g)) != G.unit[G.src[g]]:
             fails.append(f"g^-1 * g != unit(s(g)) for arrow {g}")
-    return GroupoidReport(not fails, fails)
+    return Report(not fails, fails)
 
 
 def face(G, i, t):

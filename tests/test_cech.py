@@ -16,16 +16,19 @@ from groupoid_cohomology.cech import (
     ConstantCoefficients,
     ConstantSpace,
     Cover,
+    InducedSimplicialCover,
     MaximalSimplicialCover,
     ModuleCoefficients,
     NerveSpace,
     Refinement,
     SigmaCover,
     SigmaNSimplicialCover,
+    SimplicialCoverComplex,
     assemble_complex,
     cech_cohomology_on_cover,
     check_homotopy_identity,
     constant_space_comparison,
+    homotopy_operator,
     refinement_map,
     single_set_cover,
     sigma_cover,
@@ -193,6 +196,60 @@ def test_sigma_h0_equals_invariant_sections():
     assert homology_at(cx, 0) == invariant_sections(C2, A22).factors
 
 
+def test_cech_c5_maximal_cover_degree_three_is_bounded():
+    # assembling through one zero cochain per generator took 13 s here
+    C5 = cyclic_group(5)
+    space = NerveSpace(C5)
+    coeffs = ModuleCoefficients(constant_module(C5, FinAbGroup((5,))))
+    with time_limit(5):
+        got = cech_cohomology_on_cover(space, coeffs, MaximalSimplicialCover(space), 3)
+    assert got == InvariantFactors((5,), 0)
+
+
+def _twisted_c2(order):
+    """C2 acting by -1 on Z/order (order 0: on Z)."""
+    fib = FinAbGroup((order,))
+    return GModule(C2, (fib,), (AbHom.identity(fib),
+                                AbHom(fib, fib, IntegerMatrix.from_rows([[-1]]))))
+
+
+def _assembly_cases():
+    rng = random.Random(31)
+    nerve = NerveSpace(C2)
+    cases = []
+    for order in (3, 0):
+        coeffs = ModuleCoefficients(_twisted_c2(order))
+        V = MaximalSimplicialCover(nerve)
+        covers = [("single", single_set_cover(nerve, 3)), ("maximal", V)]
+        covers += [(f"coarsened{i}", random_coarsening(rng, nerve, V, 3, max_sets=2))
+                   for i in range(2)]
+        for name, cov in covers:
+            cases.append((f"C2 on Z/{order}, {name}", nerve, coeffs, sigma_cover(nerve, cov, 3), 3))
+        induced = InducedSimplicialCover(nerve, [set(nerve.points(0))] * 2)
+        cases.append((f"C2 on Z/{order}, induced plain", nerve, coeffs,
+                      SimplicialCoverComplex(nerve, induced, 3), 3))
+    comp = constant_space_comparison(2, [{0, 1}, {1}], FinAbGroup((0,)), top=1)
+    cases.append(("constant Z, induced sigma", comp.space, comp.coeffs, comp.sigma, 2))
+    cases.append(("constant Z, induced plain", comp.space, comp.coeffs, comp.plain, 2))
+    return cases
+
+
+@pytest.mark.parametrize("case", _assembly_cases(), ids=lambda case: case[0])
+def test_assembled_columns_match_the_cochain_differential(case):
+    """Each column of the assembled map is, modulo the target orders, the
+    differential of the matching indicator cochain (the reference
+    construction assembly used before face tables)."""
+    _, space, coeffs, fam, top = case
+    cx = assemble_complex(space, coeffs, fam, top)
+    for n in range(top):
+        h = cx.maps[n]
+        basis = ss_basis(space, coeffs, fam, n)
+        assert len(basis) == h.matrix.cols
+        for j, c in enumerate(basis):
+            want = ss_flatten(space, coeffs, fam, ss_differential(space, coeffs, fam, c))
+            assert h.target.reduce(h.matrix.col(j)) == want
+
+
 def _identity_refinement(space, cov, top):
     tables = []
     for n in range(top + 1):
@@ -348,7 +405,6 @@ def test_error_paths():
     sU = SigmaCover(space, U, 2)
     phi = ss_random(space, coeffs, sU, 1, random.Random(0))
     with pytest.raises(ShapeError, match="simplicial index structure"):
-        from groupoid_cohomology.cech import homotopy_operator
         homotopy_operator(space, coeffs, sU, sU, U, None, None, phi)
     # refinement containment violations are caught by validation
     V = MaximalSimplicialCover(space)
@@ -460,6 +516,13 @@ def test_one_set_cover_comparison_all_identities():
             assert ss_equal(lhs, rhs)
 
 
+def _comparison_homotopy(comp, phi):
+    """H of the constant-space comparison: identity theta0, vertex-coherent
+    substitution in the second branch."""
+    return homotopy_operator(comp.space, comp.coeffs, comp.sigma, comp.sigma, comp.cover,
+                             lambda r, label: label, None, phi, vertex_sub=True)
+
+
 @pytest.mark.parametrize("sets", [[{0}, {1}], [{0, 1}, {1}]])
 def test_h_explicit_low_degree_formulas(sets):
     """(H phi)_{l0} = phi_{l0 l0 (l0,l0)}; the degree-2 display holds on
@@ -469,7 +532,7 @@ def test_h_explicit_low_degree_formulas(sets):
     sp, cf = comp.space, comp.coeffs
     rng = random.Random(5)
     phi = ss_random(sp, cf, comp.sigma, 1, rng)
-    h = comp.homotopy(phi)
+    h = _comparison_homotopy(comp, phi)
     slots1 = comp.sigma.slots(1)
     pos1 = {s: i for i, s in enumerate(slots1)}
     for lam in comp.sigma.indices(0):
@@ -483,7 +546,7 @@ def test_h_explicit_low_degree_formulas(sets):
             assert v == phi.data[big][p]
     # degree 2 on a vertex-coherent lambda
     phi2 = ss_random(sp, cf, comp.sigma, 2, rng)
-    h2 = comp.homotopy(phi2)
+    h2 = _comparison_homotopy(comp, phi2)
     slots2 = comp.sigma.slots(2)
     pos2 = {s: i for i, s in enumerate(slots2)}
     for lam in comp.sigma.indices(1):
