@@ -804,57 +804,3 @@ def image_membership_witness(h, target_element):
     if sol is None:
         return None
     return h.source.reduce(tuple(sol[i, 0] for i in range(h.source.ngens)))
-
-
-def _prime_factors(n):
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def invariant_factors_from_orders(element_orders):
-    """Invariant factors of a finite abelian group from its element-order multiset.
-
-    Works prime by prime: #{x : p^j x = 0} / #{x : p^(j-1) x = 0} equals p to
-    the number of cyclic p-power factors of order >= p^j. Used by brute-force
-    oracles, independently of any matrix computation.
-    """
-    element_orders = list(element_orders)
-    exponent = 1
-    for n in element_orders:
-        exponent = lcm(exponent, n)
-    per_prime = {}
-    for p in _prime_factors(exponent):
-        ms = []
-        prev = sum(1 for n in element_orders if n == 1)
-        j = 1
-        while True:
-            pj = p ** j
-            cur = sum(1 for n in element_orders if pj % n == 0)
-            if cur == prev:
-                break
-            ratio, m = cur // prev, 0
-            while ratio > 1:
-                ratio //= p
-                m += 1
-            ms.append(m)  # number of p-power factors of order >= p^j
-            prev = cur
-            j += 1
-        count = ms[0] if ms else 0
-        divisors = []
-        for i in range(1, count + 1):
-            e = max(jj + 1 for jj, m in enumerate(ms) if m >= i)
-            divisors.append(p ** e)
-        per_prime[p] = sorted(divisors, reverse=True)
-    width = max((len(v) for v in per_prime.values()), default=0)
-    invs = []
-    for i in range(width):
-        invs.append(prod(vals[i] for vals in per_prime.values() if i < len(vals)))
-    return InvariantFactors(tuple(sorted(d for d in invs if d >= 2)), 0)

@@ -8,6 +8,9 @@ cardinality then lexicographically), with pieces
 
     U^n_lambda = intersection over f of f~^{-1}(U^k_{lambda(f)}).
 
+The N-simplicial refinement sigma_N and the cover induced by a level-0
+cover (sigma_0 of it) are the same index calculus over monotone slot maps.
+
 Cochain complexes live on such families via (dc)_i = sum (-1)^k eps_k~* of
 c at the face of the index. One face table drives every coboundary, as in
 the groupoid complex: `cell_faces` lists the faces of a cell (face index,
@@ -35,7 +38,7 @@ from math import prod
 
 from .abelian import AbComplex, FinAbGroup, ShapeError, homology_at
 from .cohomology import alternating_sum, assemble_coboundary, tuple_fiber
-from .groupoid import MonotoneMap, simplicial_map
+from .groupoid import MonotoneMap, all_monotone_maps, all_strict_maps, simplicial_map
 
 
 class BudgetExceeded(RuntimeError):
@@ -202,122 +205,142 @@ class MaximalSimplicialCover:
         return self.space.smap(f, label)
 
 
-class InducedSimplicialCover:
-    """The simplicial cover generated by a level-0 cover: indices at level n
-    are (n+1)-tuples of level-0 indices, the piece being the intersection of
-    the vertex preimages; f~ reindexes tuples by composition with f."""
+def nonempty_pieces(space, cover, n, budget, stage):
+    """The nonempty pieces of a cover at level n: label -> sorted points,
+    labels sorted, read off `cover.containing` point by point.
 
-    def __init__(self, space, level0_sets, budget=DEFAULT_BUDGET):
-        self.space = space
-        self.level0 = tuple(frozenset(s) for s in level0_sets)
-        self.budget = budget
-
-    def indices(self, n):
-        count = self.index_count(n)
-        if count > self.budget.max_candidates:
-            raise BudgetExceeded(f"induced cover has {count} indices at level {n}", count)
-        return tuple(itertools.product(range(len(self.level0)), repeat=n + 1))
-
-    def index_count(self, n):
-        return len(self.level0) ** (n + 1)
-
-    def _vertex(self, n, j, point):
-        return self.space.smap(MonotoneMap(n, (j,)), point)
-
-    def set_of(self, n, label):
-        pts = []
-        for p in self.space.points(n):
-            if all(self._vertex(n, j, p) in self.level0[i] for j, i in enumerate(label)):
-                pts.append(p)
-        return frozenset(pts)
-
-    def containing(self, n, point):
-        per_vertex = []
-        for j in range(n + 1):
-            v = self._vertex(n, j, point)
-            per_vertex.append([i for i, s in enumerate(self.level0) if v in s])
-        if prod(len(c) for c in per_vertex) > self.budget.max_per_point:
-            raise BudgetExceeded("too many induced indices per point")
-        return tuple(itertools.product(*per_vertex))
-
-    def jmap(self, f, label):
-        return tuple(label[v] for v in f.values)
+    Every pruned family is built here; more than `budget.max_cells` cells
+    raises, naming the stage.
+    """
+    table = {}
+    for p in space.points(n):
+        for label in cover.containing(n, p):
+            table.setdefault(label, []).append(p)
+    cells = sum(len(pts) for pts in table.values())
+    if cells > budget.max_cells:
+        raise BudgetExceeded(f"{stage} level {n} has {cells} cells", cells)
+    return {label: tuple(sorted(table[label])) for label in sorted(table)}
 
 
-def monotone_slots(n, N):
-    """All monotone maps [k] -> [n] for k <= N, the index domain of sigma_N."""
-    out = []
-    for k in range(N + 1):
-        out.extend(MonotoneMap(n, vals)
-                   for vals in itertools.combinations_with_replacement(range(n + 1), k + 1))
-    return out
+class _SlotCover:
+    """The index calculus shared by sigma, sigma_N and the induced cover: a
+    level-n index assigns a base index lambda(f) to every slot map
+    f: [k] -> [n] of the level, and its piece is the intersection of the
+    f~^{-1}(U^k_{lambda(f)}).
 
-
-class SigmaNSimplicialCover:
-    """The paper's N-simplicial refinement sigma_N of a plain cover: an index
-    at level n assigns a base index to every monotone map into [n] with
-    domain <= N, and the piece intersects all the pulled-back base pieces.
-
-    The candidate index set is astronomically large; everything here is
-    evaluated per point or per label, guarded by the budget.
+    The covers differ only in their slot maps: maps(k, n) for k up to
+    max_domain (None: up to n). The candidate set is exponential, so
+    everything is evaluated per point or per label, guarded by the budget.
     """
 
-    def __init__(self, space, base, N, budget=DEFAULT_BUDGET):
+    stage = None
+
+    def __init__(self, space, base, budget, maps, max_domain):
         self.space = space
         self.base = base
-        self.N = N
         self.budget = budget
-        self._slots = {n: tuple(monotone_slots(n, N)) for n in range(N + 1)}
+        self._slot_kind = (maps, max_domain)
+        self._level_slots = {}
+        self._reindex_tables = {}
 
-    def slots(self, n):
-        return self._slots[n]
+    def _slots_at(self, n):
+        """The slot maps of level n, by domain, then lexicographically, and
+        the position of each by its values; built once per level."""
+        out = self._level_slots.get(n)
+        if out is None:
+            maps, max_domain = self._slot_kind
+            top = n if max_domain is None else max_domain
+            fs = tuple(f for k in range(top + 1) for f in maps(k, n))
+            out = self._level_slots[n] = (fs, {f.values: i for i, f in enumerate(fs)})
+        return out
 
     def index_count(self, n):
-        return prod(self.base.index_count(f.domain) for f in self.slots(n))
+        return prod(self.base.index_count(f.domain) for f in self._slots_at(n)[0])
 
-    def indices(self, n):
+    def _candidates(self, n):
+        """Every candidate index, lexicographically. Budgeted."""
         count = self.index_count(n)
         if count > self.budget.max_candidates:
-            raise BudgetExceeded(f"sigma_N has {count} candidate indices at level {n}", count)
-        pools = [self.base.indices(f.domain) for f in self.slots(n)]
-        return tuple(itertools.product(*pools))
+            raise BudgetExceeded(f"{self.stage} cover has {count} candidates at level {n}",
+                                 count)
+        return itertools.product(*(self.base.indices(f.domain) for f in self._slots_at(n)[0]))
 
     def set_of(self, n, label):
-        pts = []
-        for p in self.space.points(n):
-            if all(self.space.smap(f, p) in self.base.set_of(f.domain, i)
-                   for f, i in zip(self.slots(n), label)):
-                pts.append(p)
-        return frozenset(pts)
+        return frozenset(p for p in self.space.points(n)
+                         if all(self.space.smap(f, p) in self.base.set_of(f.domain, i)
+                                for f, i in zip(self._slots_at(n)[0], label)))
 
     def containing(self, n, point):
+        """The product over the slots f of the base indices containing f~(point)."""
         pools = []
         total = 1
-        for f in self.slots(n):
+        for f in self._slots_at(n)[0]:
             opts = self.base.containing(f.domain, self.space.smap(f, point))
             total *= len(opts)
             if total > self.budget.max_per_point:
-                raise BudgetExceeded("too many sigma_N indices per point")
+                raise BudgetExceeded(f"too many nonempty {self.stage} indices per point")
             pools.append(opts)
         return tuple(itertools.product(*pools))
 
+    def _reindex(self, g, label):
+        """(g~ lambda)(f) = lambda(g o f) for g: [a] -> [b], label at level b,
+        through a position table cached per g."""
+        key = (g.codomain, g.values)
+        table = self._reindex_tables.get(key)
+        if table is None:
+            pos = self._slots_at(g.codomain)[1]
+            table = tuple(pos[tuple(g.values[v] for v in f.values)]
+                          for f in self._slots_at(g.domain)[0])
+            self._reindex_tables[key] = table
+        return tuple(label[i] for i in table)
+
+
+class SigmaNSimplicialCover(_SlotCover):
+    """The paper's N-simplicial refinement sigma_N of a plain cover: an index
+    at level n assigns a base index to every monotone map into [n] with
+    domain <= N, and the piece intersects all the pulled-back base pieces.
+    """
+
+    stage = "sigma_N"
+
+    def __init__(self, space, base, N, budget=DEFAULT_BUDGET):
+        super().__init__(space, base, budget, all_monotone_maps, N)
+        self.N = N
+
+    def slots(self, n):
+        return self._slots_at(n)[0]
+
+    def indices(self, n):
+        return tuple(self._candidates(n))
+
     def jmap(self, g, label):
-        # (g~ lambda)(f) = lambda(g o f), for g: [a] -> [b], label at level b
-        pos = {f: i for i, f in enumerate(self.slots(g.codomain))}
-        return tuple(label[pos[g.compose(f)]] for f in self.slots(g.domain))
+        return self._reindex(g, label)
+
+
+class InducedSimplicialCover(SigmaNSimplicialCover):
+    """The simplicial cover generated by a level-0 cover, which is sigma_0 of
+    it: indices at level n are (n+1)-tuples of level-0 indices, one per
+    vertex, the piece being the intersection of the vertex preimages; f~
+    reindexes tuples by composition with f."""
+
+    stage = "induced"
+
+    def __init__(self, space, level0_sets, budget=DEFAULT_BUDGET):
+        self.level0 = tuple(frozenset(s) for s in level0_sets)
+        super().__init__(space, Cover((self.level0,)), 0, budget)
 
 
 def refinement_into_sigma_n(space, sigma_n_cover, top):
     """The canonical refinement witness sigma_N U -> U: each label is sent to
     its value at the identity slot, whose piece contains it by construction."""
+    if top > sigma_n_cover.N:
+        raise ValueError(f"sigma_{sigma_n_cover.N} has no identity slot at level {top}")
     tables = []
     for n in range(top + 1):
-        slots = sigma_n_cover.slots(n)
-        ident = slots.index(MonotoneMap.identity(n))
-        labels = set()
-        for p in space.points(n):
-            labels.update(sigma_n_cover.containing(n, p))
-        tables.append({label: label[ident] for label in sorted(labels)})
+        ident = sigma_n_cover.slots(n).index(MonotoneMap.identity(n))
+        labels = nonempty_pieces(space, sigma_n_cover, n, sigma_n_cover.budget,
+                                 sigma_n_cover.stage)
+        tables.append({label: label[ident] for label in labels})
     return Refinement(sigma_n_cover.base, sigma_n_cover, tuple(tables))
 
 
@@ -325,112 +348,48 @@ def refinement_into_sigma_n(space, sigma_n_cover, top):
 # the sigma (semi-simplicial) construction and cover complexes
 
 
-def increasing_slots(n):
-    """Nonempty subsets of [n] ordered by cardinality then lexicographically,
-    each standing for the strictly increasing map it is the image of."""
-    out = []
-    for k in range(n + 1):
-        out.extend(itertools.combinations(range(n + 1), k + 1))
-    return tuple(out)
-
-
-class SigmaCover:
+class SigmaCover(_SlotCover):
     """sigma U: the semi-simplicial cover of any plain-ish cover.
 
-    Level-n indices are tuples over the increasing slots; only the pieces
-    meeting at least one point are materialized for complexes, which is safe
+    Level-n indices are tuples over the strictly increasing slots, each
+    named by its image, a nonempty subset of [n]; only the pieces meeting
+    at least one point are materialized for complexes, which is safe
     because nonemptiness is face-closed.
     """
 
+    stage = "sigma"
+
     def __init__(self, space, base, top, budget=DEFAULT_BUDGET):
-        self.space = space
-        self.base = base
+        super().__init__(space, base, budget, all_strict_maps, None)
         self.top = top
-        self.budget = budget
-        self._slots = {n: increasing_slots(n) for n in range(top + 1)}
-        self._slot_pos = {n: {s: i for i, s in enumerate(self._slots[n])}
-                          for n in range(top + 1)}
         self._levels = {}
-        self._face_tables = {}
 
     def slots(self, n):
-        return self._slots[n]
+        return tuple(self._slots_at(n)[1])
 
     def candidate_count(self, n):
-        return prod(self.base.index_count(len(s) - 1) for s in self.slots(n))
+        return self.index_count(n)
 
     def all_lambda(self, n):
-        """Every candidate index with its piece (possibly empty). Budgeted."""
-        count = self.candidate_count(n)
-        if count > self.budget.max_candidates:
-            raise BudgetExceeded(f"sigma cover has {count} candidates at level {n}", count)
-        pools = [self.base.indices(len(s) - 1) for s in self.slots(n)]
-        out = []
-        for label in itertools.product(*pools):
-            pts = frozenset(p for p in self.space.points(n)
-                            if all(self.space.smap(_slot_map(n, s), p)
-                                   in self.base.set_of(len(s) - 1, i)
-                                   for s, i in zip(self.slots(n), label)))
-            out.append((label, pts))
-        return out
-
-    def _build_level(self, n):
-        table = {}
-        for p in self.space.points(n):
-            pools = []
-            total = 1
-            for s in self.slots(n):
-                opts = self.base.containing(len(s) - 1, self.space.smap(_slot_map(n, s), p))
-                total *= len(opts)
-                if total > self.budget.max_per_point:
-                    raise BudgetExceeded("too many nonempty sigma indices per point")
-                pools.append(opts)
-            for label in itertools.product(*pools):
-                table.setdefault(label, []).append(p)
-        cells = sum(len(v) for v in table.values())
-        if cells > self.budget.max_cells:
-            raise BudgetExceeded(f"sigma level {n} has {cells} cells", cells)
-        return {label: tuple(sorted(pts)) for label, pts in table.items()}
+        """Every candidate index with its piece (possibly empty): the
+        unpruned reference. Budgeted."""
+        return [(label, self.set_of(n, label)) for label in self._candidates(n)]
 
     def _level(self, n):
         if n not in self._levels:
-            self._levels[n] = self._build_level(n)
+            self._levels[n] = nonempty_pieces(self.space, self, n, self.budget, self.stage)
         return self._levels[n]
 
     def indices(self, n):
         """Nonempty indices, sorted."""
-        return tuple(sorted(self._level(n)))
+        return tuple(self._level(n))
 
     def points_of(self, n, label):
         return self._level(n)[label]
 
-    def gmap(self, g, label):
-        """(g~ lambda)(f) = lambda(g o f) for strictly increasing g: [m] -> [n']."""
-        npos = self._slot_pos[g.codomain]
-        out = []
-        for s in self.slots(g.domain):
-            image = tuple(g.values[v] for v in s)
-            out.append(label[npos[image]])
-        return tuple(out)
-
-    def _face_table(self, n, k):
-        key = (n, k)
-        table = self._face_tables.get(key)
-        if table is None:
-            eps = MonotoneMap.face(n, k)
-            npos = self._slot_pos[n]
-            table = tuple(npos[tuple(eps.values[v] for v in s)]
-                          for s in self.slots(n - 1))
-            self._face_tables[key] = table
-        return table
-
     def face_index(self, k, n, label):
         """eps_k~ on indices: level n label -> level n-1 label."""
-        return tuple(label[i] for i in self._face_table(n, k))
-
-
-def _slot_map(n, subset):
-    return MonotoneMap(n, subset)
+        return self._reindex(MonotoneMap.face(n, k), label)
 
 
 class SimplicialCoverComplex:
@@ -446,15 +405,12 @@ class SimplicialCoverComplex:
 
     def _level(self, n):
         if n not in self._levels:
-            table = {}
-            for p in self.space.points(n):
-                for label in self.cover.containing(n, p):
-                    table.setdefault(label, []).append(p)
-            self._levels[n] = {label: tuple(sorted(pts)) for label, pts in table.items()}
+            self._levels[n] = nonempty_pieces(self.space, self.cover, n, self.budget,
+                                              "cover complex")
         return self._levels[n]
 
     def indices(self, n):
-        return tuple(sorted(self._level(n)))
+        return tuple(self._level(n))
 
     def points_of(self, n, label):
         return self._level(n)[label]

@@ -259,6 +259,40 @@ def cocycle_from_extension(E, section=None):
     return make_cochain(G, A, 2, values)
 
 
+def _search_lifts(G, E, multiplicative):
+    """Backtrack over one lift in E per arrow of G, units to units, non-units
+    in arrow order with candidates in `E.lifts` order; a partial choice is
+    pruned when multiplicative(assign, u, v, uv) fails on a composable pair
+    whose three arrows are all chosen. The first full choice, or None.
+    """
+    units = set(G.unit)
+    nonunits = [g for g in G.arrows() if g not in units]
+    assign = {G.unit[x]: E.total.unit[x] for x in G.objects()}
+
+    def check_partial(g):
+        for h in list(assign):
+            for (u, v) in ((g, h), (h, g)):
+                if not G.is_composable(u, v):
+                    continue
+                uv = G.compose(u, v)
+                if uv in assign and not multiplicative(assign, u, v, uv):
+                    return False
+        return True
+
+    def backtrack(pos):
+        if pos == len(nonunits):
+            return True
+        g = nonunits[pos]
+        for cand in E.lifts(g):
+            assign[g] = cand
+            if check_partial(g) and backtrack(pos + 1):
+                return True
+            del assign[g]
+        return False
+
+    return assign if backtrack(0) else None
+
+
 def are_equivalent(E1, E2):
     """An isomorphism E1 -> E2 over the identity of A and G, or None.
 
@@ -285,41 +319,19 @@ def are_equivalent(E1, E2):
         x, a = inj1_inv[k]
         return a, g
 
-    nonunits = [g for g in G.arrows() if g not in set(G.unit)]
-    assign = {G.unit[x]: T2.unit[x] for x in G.objects()}
+    def multiplicative(assign, u, v, uv):
+        a, _ = decompose(T1.compose(sec1[u], sec1[v]))
+        return (T2.compose(assign[u], assign[v])
+                == E2.act_coefficient(a, G.tgt[u], assign[uv]))
+
+    assign = _search_lifts(G, E2, multiplicative)
+    if assign is None:
+        return None
 
     def images_of(e):
         a, g = decompose(e)
         return E2.act_coefficient(a, T1.tgt[e], assign[g])
 
-    def check_partial(g):
-        for h in list(assign):
-            for (u, v) in ((g, h), (h, g)):
-                if not G.is_composable(u, v):
-                    continue
-                uv = G.compose(u, v)
-                if uv not in assign:
-                    continue
-                lhs = T2.compose(assign[u], assign[v])
-                a, _ = decompose(T1.compose(sec1[u], sec1[v]))
-                rhs = E2.act_coefficient(a, G.tgt[u], assign[uv])
-                if lhs != rhs:
-                    return False
-        return True
-
-    def backtrack(pos):
-        if pos == len(nonunits):
-            return True
-        g = nonunits[pos]
-        for cand in E2.lifts(g):
-            assign[g] = cand
-            if check_partial(g) and backtrack(pos + 1):
-                return True
-            del assign[g]
-        return False
-
-    if not backtrack(0):
-        return None
     arrow_map = tuple(images_of(e) for e in T1.arrows())
     if len(set(arrow_map)) != T1.n_arrows:
         return None
@@ -401,31 +413,9 @@ def is_strictly_trivial(E):
     and the isomorphism onto the split extension are constructed as well.
     """
     G, T, A = E.base, E.total, E.module
-    nonunits = [g for g in G.arrows() if g not in set(G.unit)]
-    assign = {G.unit[x]: T.unit[x] for x in G.objects()}
-
-    def check_partial(g):
-        for h in list(assign):
-            for (u, v) in ((g, h), (h, g)):
-                if not G.is_composable(u, v):
-                    continue
-                uv = G.compose(u, v)
-                if uv in assign and T.compose(assign[u], assign[v]) != assign[uv]:
-                    return False
-        return True
-
-    def backtrack(pos):
-        if pos == len(nonunits):
-            return True
-        g = nonunits[pos]
-        for cand in E.lifts(g):
-            assign[g] = cand
-            if check_partial(g) and backtrack(pos + 1):
-                return True
-            del assign[g]
-        return False
-
-    if not backtrack(0):
+    assign = _search_lifts(G, E, lambda assign, u, v, uv:
+                           T.compose(assign[u], assign[v]) == assign[uv])
+    if assign is None:
         return None
     section = tuple(assign[g] for g in G.arrows())
     inj_inv = E.inj_inverse()

@@ -524,7 +524,8 @@ def main(argv=None):
                     "extensions, Morita and Cech checks")
     parser.add_argument("--max-degree", type=int, default=3)
     parser.add_argument("--budget", type=int, default=None,
-                        help="scale factor for enumeration caps")
+                        help="one absolute cap for all three enumeration budgets: "
+                             "candidate indices, indices per point and cells")
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="verb", required=True)

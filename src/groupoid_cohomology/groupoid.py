@@ -560,67 +560,3 @@ def cover_groupoid(G, sets):
                              tuple(x for (i, x) in objects),
                              tuple(g for (i, g, j) in arrows))
     return CoverGroupoid(H, canon, tuple(objects), tuple(arrows))
-
-
-def find_isomorphism(G, H):
-    """Exhaustive search for an isomorphism of finite groupoids, or None.
-
-    Desk-scale only: backtracks over object bijections and arrow images with
-    composition-consistency pruning.
-    """
-    if G.n_objects != H.n_objects or G.n_arrows != H.n_arrows:
-        return None
-
-    def profile(K, x):
-        return (sum(1 for a in K.arrows() if K.src[a] == x),
-                sum(1 for a in K.arrows() if K.tgt[a] == x))
-
-    gprof = [profile(G, x) for x in G.objects()]
-    hprof = [profile(H, x) for x in H.objects()]
-    for objperm in itertools.permutations(range(H.n_objects)):
-        if any(gprof[x] != hprof[objperm[x]] for x in G.objects()):
-            continue
-        amap = [None] * G.n_arrows
-        used = [False] * H.n_arrows
-        for x in G.objects():
-            amap[G.unit[x]] = H.unit[objperm[x]]
-            used[H.unit[objperm[x]]] = True
-        order = [g for g in G.arrows() if amap[g] is None]
-
-        def consistent(g):
-            for h in G.arrows():
-                if amap[h] is None:
-                    continue
-                if G.is_composable(g, h):
-                    gh = G.comp[(g, h)]
-                    if amap[gh] is not None and H.comp.get((amap[g], amap[h])) != amap[gh]:
-                        return False
-                if G.is_composable(h, g):
-                    hg = G.comp[(h, g)]
-                    if amap[hg] is not None and H.comp.get((amap[h], amap[g])) != amap[hg]:
-                        return False
-            gi = G.inv[g]
-            if amap[gi] is not None and H.inv[amap[g]] != amap[gi]:
-                return False
-            return True
-
-        def backtrack(pos):
-            if pos == len(order):
-                return True
-            g = order[pos]
-            for h in H.arrows():
-                if used[h] or H.src[h] != objperm[G.src[g]] or H.tgt[h] != objperm[G.tgt[g]]:
-                    continue
-                amap[g] = h
-                used[h] = True
-                if consistent(g) and backtrack(pos + 1):
-                    return True
-                amap[g] = None
-                used[h] = False
-            return False
-
-        if backtrack(0):
-            morphism = GroupoidMorphism(G, H, tuple(objperm), tuple(amap))
-            if morphism.is_morphism():
-                return morphism
-    return None

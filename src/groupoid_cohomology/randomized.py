@@ -15,6 +15,7 @@ from math import gcd
 
 from .abelian import AbHom, FinAbGroup, IntegerMatrix
 from .cech import (
+    DEFAULT_BUDGET,
     ConstantSpace,
     Cover,
     InducedSimplicialCover,
@@ -26,6 +27,7 @@ from .cech import (
     SigmaNSimplicialCover,
     check_homotopy_identity,
     NerveSpace,
+    nonempty_pieces,
     ss_equal,
     ss_random,
 )
@@ -137,13 +139,6 @@ def random_object_cover(rng, G, max_sets=3):
 # homotopy-lemma instances
 
 
-def _nonempty_pieces(space, cover_like, n):
-    labels = set()
-    for p in space.points(n):
-        labels.update(cover_like.containing(n, p))
-    return sorted(labels)
-
-
 def random_coarsening(rng, space, fine, top, max_sets=3):
     """A plain cover whose pieces are unions of the fine cover's pieces.
 
@@ -152,7 +147,7 @@ def random_coarsening(rng, space, fine, top, max_sets=3):
     """
     levels = []
     for n in range(top + 1):
-        pieces = [fine.set_of(n, j) for j in _nonempty_pieces(space, fine, n)]
+        pieces = nonempty_pieces(space, fine, n, DEFAULT_BUDGET, "fine cover").values()
         m = rng.randint(1, max_sets)
         sets = [set() for _ in range(m)]
         for piece in pieces:
@@ -168,9 +163,8 @@ def random_refinement_pair(rng, space, fine, coarse, top):
     t0, t1 = [], []
     for n in range(top + 1):
         d0, d1 = {}, {}
-        for j in _nonempty_pieces(space, fine, n):
-            piece = fine.set_of(n, j)
-            options = [i for i in coarse.indices(n) if piece <= coarse.set_of(n, i)]
+        for j, piece in nonempty_pieces(space, fine, n, DEFAULT_BUDGET, "fine cover").items():
+            options = [i for i in coarse.indices(n) if coarse.set_of(n, i).issuperset(piece)]
             d0[j] = rng.choice(options)
             d1[j] = rng.choice(options)
         t0.append(d0)

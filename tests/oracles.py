@@ -9,8 +9,10 @@ recovered from element orders alone.
 from __future__ import annotations
 
 import itertools
+from math import lcm, prod
 
-from groupoid_cohomology.abelian import invariant_factors_from_orders
+from groupoid_cohomology.abelian import InvariantFactors
+from groupoid_cohomology.groupoid import GroupoidMorphism
 
 
 def cyclic_table(n):
@@ -137,3 +139,121 @@ def section_orders(G, A, fixed):
             k += 1
         out.append(k)
     return out
+
+
+def _prime_factors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def invariant_factors_from_orders(element_orders):
+    """Invariant factors of a finite abelian group from its element-order multiset.
+
+    Works prime by prime: #{x : p^j x = 0} / #{x : p^(j-1) x = 0} equals p to
+    the number of cyclic p-power factors of order >= p^j. Used by brute-force
+    oracles, independently of any matrix computation.
+    """
+    element_orders = list(element_orders)
+    exponent = 1
+    for n in element_orders:
+        exponent = lcm(exponent, n)
+    per_prime = {}
+    for p in _prime_factors(exponent):
+        ms = []
+        prev = sum(1 for n in element_orders if n == 1)
+        j = 1
+        while True:
+            pj = p ** j
+            cur = sum(1 for n in element_orders if pj % n == 0)
+            if cur == prev:
+                break
+            ratio, m = cur // prev, 0
+            while ratio > 1:
+                ratio //= p
+                m += 1
+            ms.append(m)  # number of p-power factors of order >= p^j
+            prev = cur
+            j += 1
+        count = ms[0] if ms else 0
+        divisors = []
+        for i in range(1, count + 1):
+            e = max(jj + 1 for jj, m in enumerate(ms) if m >= i)
+            divisors.append(p ** e)
+        per_prime[p] = sorted(divisors, reverse=True)
+    width = max((len(v) for v in per_prime.values()), default=0)
+    invs = []
+    for i in range(width):
+        invs.append(prod(vals[i] for vals in per_prime.values() if i < len(vals)))
+    return InvariantFactors(tuple(sorted(d for d in invs if d >= 2)), 0)
+
+
+def find_isomorphism(G, H):
+    """Exhaustive search for an isomorphism of finite groupoids, or None.
+
+    Desk-scale only: backtracks over object bijections and arrow images with
+    composition-consistency pruning.
+    """
+    if G.n_objects != H.n_objects or G.n_arrows != H.n_arrows:
+        return None
+
+    def profile(K, x):
+        return (sum(1 for a in K.arrows() if K.src[a] == x),
+                sum(1 for a in K.arrows() if K.tgt[a] == x))
+
+    gprof = [profile(G, x) for x in G.objects()]
+    hprof = [profile(H, x) for x in H.objects()]
+    for objperm in itertools.permutations(range(H.n_objects)):
+        if any(gprof[x] != hprof[objperm[x]] for x in G.objects()):
+            continue
+        amap = [None] * G.n_arrows
+        used = [False] * H.n_arrows
+        for x in G.objects():
+            amap[G.unit[x]] = H.unit[objperm[x]]
+            used[H.unit[objperm[x]]] = True
+        order = [g for g in G.arrows() if amap[g] is None]
+
+        def consistent(g):
+            for h in G.arrows():
+                if amap[h] is None:
+                    continue
+                if G.is_composable(g, h):
+                    gh = G.comp[(g, h)]
+                    if amap[gh] is not None and H.comp.get((amap[g], amap[h])) != amap[gh]:
+                        return False
+                if G.is_composable(h, g):
+                    hg = G.comp[(h, g)]
+                    if amap[hg] is not None and H.comp.get((amap[h], amap[g])) != amap[hg]:
+                        return False
+            gi = G.inv[g]
+            if amap[gi] is not None and H.inv[amap[g]] != amap[gi]:
+                return False
+            return True
+
+        def backtrack(pos):
+            if pos == len(order):
+                return True
+            g = order[pos]
+            for h in H.arrows():
+                if used[h] or H.src[h] != objperm[G.src[g]] or H.tgt[h] != objperm[G.tgt[g]]:
+                    continue
+                amap[g] = h
+                used[h] = True
+                if consistent(g) and backtrack(pos + 1):
+                    return True
+                amap[g] = None
+                used[h] = False
+            return False
+
+        if backtrack(0):
+            morphism = GroupoidMorphism(G, H, tuple(objperm), tuple(amap))
+            if morphism.is_morphism():
+                return morphism
+    return None

@@ -14,6 +14,7 @@ import time
 from oracles import (
     brute_force_group_cohomology,
     cyclic_table,
+    invariant_factors_from_orders,
     invariant_sections_by_enumeration,
     periodic_resolution_cyclic,
     section_orders,
@@ -24,7 +25,6 @@ from groupoid_cohomology.abelian import (
     FinAbGroup,
     IntegerMatrix,
     InvariantFactors,
-    invariant_factors_from_orders,
 )
 from groupoid_cohomology.cech import (
     BudgetExceeded,

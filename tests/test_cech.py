@@ -46,6 +46,8 @@ from groupoid_cohomology.gmodule import GModule, constant_module
 from groupoid_cohomology.groupoid import cyclic_group
 from groupoid_cohomology.abelian import homology_at
 from groupoid_cohomology.randomized import (
+    _random_fine_cover,
+    _random_space_and_coeffs,
     random_coarsening,
     random_refinement_pair,
     run_homotopy_trials,
@@ -97,6 +99,57 @@ def test_budget_rejection_reports_estimate():
     with pytest.raises(BudgetExceeded) as err:
         fam.all_lambda(2)
     assert err.value.estimate is not None and err.value.estimate > 10
+
+
+def test_cover_complex_honours_the_cell_budget():
+    space = ConstantSpace(3)
+    cover = InducedSimplicialCover(space, [{0, 1}, {1, 2}, {0, 2}])
+    fam = SimplicialCoverComplex(space, cover, 2)
+    assert sum(len(fam.points_of(2, label)) for label in fam.indices(2)) == 24
+    capped = SimplicialCoverComplex(space, cover, 2, Budget(max_cells=5))
+    with pytest.raises(BudgetExceeded) as err:
+        capped.indices(2)
+    assert err.value.estimate == 24
+
+
+def _random_space_and_covers(seed, top):
+    """A seeded space with a fine simplicial cover and a plain coarsening."""
+    rng = random.Random(seed)
+    space, _, _ = _random_space_and_coeffs(rng)
+    fine = _random_fine_cover(rng, space, top)
+    return rng, space, fine, random_coarsening(rng, space, fine, top)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pruned_sigma_levels_are_the_nonempty_candidates(seed):
+    """indices/points_of against the unpruned all_lambda reference."""
+    _, space, fine, coarse = _random_space_and_covers(seed, 2)
+    for cov in (coarse, fine):
+        fam = SigmaCover(space, cov, 2)
+        for n in range(3):
+            if fam.candidate_count(n) > 5000:
+                continue
+            want = {label: tuple(sorted(pts)) for label, pts in fam.all_lambda(n) if pts}
+            assert fam.indices(n) == tuple(sorted(want))
+            assert {label: fam.points_of(n, label) for label in fam.indices(n)} == want
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sigma_n_pieces_agree_with_containing(seed):
+    """p lies in set_of(n, label) exactly when label is in containing(n, p),
+    on every nonempty label and on random candidates."""
+    rng, space, fine, coarse = _random_space_and_covers(seed, 2)
+    covers = [SigmaNSimplicialCover(space, coarse, N=1)]
+    if isinstance(fine, SigmaNSimplicialCover):
+        covers.append(fine)
+    for V in covers:
+        for n in range(2):
+            holding = {p: set(V.containing(n, p)) for p in space.points(n)}
+            labels = set().union(*holding.values())
+            labels.update(tuple(rng.choice(V.base.indices(f.domain)) for f in V.slots(n))
+                          for _ in range(20))
+            for label in labels:
+                assert V.set_of(n, label) == {p for p, held in holding.items() if label in held}
 
 
 def test_ss_differential_telescopes_on_constant_cochain():
@@ -423,7 +476,16 @@ def test_error_paths():
 def test_homotopy_identity_randomized_small():
     rep = run_homotopy_trials(seed=101, count=30)
     assert rep.ok
-    assert len(rep.trials) == 30
+    # the kinds drawn, frozen: a change in how covers are enumerated that
+    # moves the random stream changes this list
+    N, C = "nerve", "constant"
+    I, M, S = "InducedSimplicialCover", "MaximalSimplicialCover", "SigmaNSimplicialCover"
+    assert [(t.degree, t.space_kind, t.fine_kind) for t in rep.trials] == [
+        (1, C, I), (2, N, S), (1, N, S), (2, N, M), (1, C, I), (2, N, I),
+        (1, N, S), (2, C, M), (1, C, I), (2, N, M), (1, C, S), (2, C, I),
+        (1, C, I), (2, N, M), (1, N, S), (2, C, M), (1, N, M), (2, N, I),
+        (1, N, S), (2, N, I), (1, C, S), (2, N, I), (1, N, M), (2, N, S),
+        (1, N, S), (2, N, I), (1, C, I), (2, C, M), (1, N, M), (2, N, M)]
 
 
 def test_homotopy_identity_on_sigma_n_cover():
@@ -452,6 +514,8 @@ def test_canonical_sigma_n_refinement():
     V = SigmaNSimplicialCover(space, base, N=2)
     canonical = refinement_into_sigma_n(space, V, 2)
     validate_refinement(space, canonical, 2)
+    with pytest.raises(ValueError, match="no identity slot"):
+        refinement_into_sigma_n(space, V, 3)
     # pair the canonical refinement with a random one in the lemma
     _, other = random_refinement_pair(rng, space, V, base, 2)
     sU = SigmaCover(space, base, 2)

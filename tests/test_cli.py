@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from oracles import find_isomorphism
 
 from groupoid_cohomology.classify import are_equivalent, ext_classes
 from groupoid_cohomology.cli import (
@@ -11,7 +12,7 @@ from groupoid_cohomology.cli import (
     results_to_json,
     run,
 )
-from groupoid_cohomology.groupoid import find_isomorphism, pair_groupoid
+from groupoid_cohomology.groupoid import pair_groupoid
 
 BUILDER_DOC = """\
 groupoid: cyclic 2

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import find_isomorphism
 
 from groupoid_cohomology.groupoid import (
     FiniteGroupoid,
@@ -14,7 +15,6 @@ from groupoid_cohomology.groupoid import (
     degeneracy,
     disjoint_union,
     face,
-    find_isomorphism,
     pair_groupoid,
     simplicial_map,
     unit_groupoid,
