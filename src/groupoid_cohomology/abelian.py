@@ -5,9 +5,10 @@ and groups are presented by generator orders (order 0 encodes an infinite
 cyclic factor, so reduction "mod 0" is no reduction). The invariant factors
 of homology come from a sparse elimination on unit pivots modulo those
 orders, which keeps entries below the orders; dense Smith normal form only
-finishes the small residual block it leaves. Dense SNF with all four
-transforms still computes kernels, solutions, and homology with
-representative generators, whose values the extension tables depend on.
+finishes the small residual block it leaves. Membership witnesses (h x = b)
+come from the same sparse kernel. Dense SNF with all four transforms still
+computes homology with representative generators, whose values the
+extension tables depend on.
 
 >>> M = IntegerMatrix.from_rows([[2, 4], [6, 8]])
 >>> S, U, V = smith_normal_form(M)
@@ -757,11 +758,14 @@ def homology_at(cx, n, with_generators=False):
 
     The factors alone come from sparse elimination on unit pivots modulo the
     generator orders (_unit_eliminate), which keeps entries below the orders
-    and leaves dense SNF only a small residual block. The generators still
-    come from the dense path (_kernel_lattice, solve_columns and a final
-    SNF with all four transforms): the representatives depend on the basis
-    each elimination picks, and the extension and Baer tables of `classify`
-    (and the CLI's --json output) are built from these ones.
+    and leaves dense SNF only a small residual block; so does every question
+    that needs no representative (Morita rows and ext counts, coboundary
+    witnesses). The generators still come from the dense path
+    (_kernel_lattice, solve_columns and a final SNF with all four
+    transforms), the only caller of solve_columns: the representatives
+    depend on the basis each elimination picks, and the extension and Baer
+    tables of `classify` (and the CLI's --json output) are built from these
+    ones.
 
     >>> Z = FinAbGroup((0,))
     >>> times2 = AbHom(Z, Z, IntegerMatrix.from_rows([[2]]))
@@ -794,13 +798,52 @@ def homology_at(cx, n, with_generators=False):
     return result, gens
 
 
+def _xgcd(a, b):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
 def image_membership_witness(h, target_element):
     """A source element x with h(x) = target_element, or None.
 
     Membership is tested in the presented target (relations count as zero).
+    It is solved on the sparse kernel of [h | -b] modulo the target orders.
+    Source coordinates are kept mod the source orders (exact for a well
+    defined h), the b-coordinate mod L = lcm(target orders), L = 0 when a
+    target is Z, since L * e_b lies in the kernel. b is in the image exactly
+    when the b-coordinates of the kernel generate 1 mod L: extended gcds
+    combine the generators, from L * e_b, until that coordinate is 1.
+
+    >>> times4 = AbHom(FinAbGroup((0,)), FinAbGroup((6,)), IntegerMatrix.from_rows([[4]]))
+    >>> w = image_membership_witness(times4, (2,))
+    >>> w, times4.apply(w)
+    ((-1,), (2,))
+    >>> image_membership_witness(times4, (3,)) is None
+    True
     """
-    stacked = h.matrix.hstack(h.target.relation_matrix())
-    sol = solve_columns(stacked, IntegerMatrix.column(list(target_element)))
-    if sol is None:
+    b = tuple(target_element)
+    if len(b) != h.target.ngens:
+        raise ShapeError("row counts differ")
+    t, s = h.target.orders, h.source.orders
+    nx = h.source.ngens
+    L = lcm(*t)
+    track_orders = s + (L,)
+    cols = _sparse_columns(h.matrix, t) + [_reduced(dict(enumerate(-x for x in b)), t)]
+    track = [_reduced({c: 1}, s) for c in range(nx)] + [{nx: 1}]
+    gens = _sparse_kernel(cols, t, track, track_orders)
+    acc, g = {nx: L}, L
+    for v in gens:
+        if g == 1:
+            break
+        g, u, w = _xgcd(g, v.get(nx, 0))
+        for c in set(acc) | set(v):
+            acc[c] = u * acc.get(c, 0) + w * v.get(c, 0)
+        acc = _reduced(acc, track_orders)
+    if g != 1:
         return None
-    return h.source.reduce(tuple(sol[i, 0] for i in range(h.source.ngens)))
+    return h.source.reduce(tuple(acc.get(c, 0) for c in range(nx)))

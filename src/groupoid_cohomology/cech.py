@@ -32,6 +32,7 @@ face-closed, so the pruned and unpruned complexes agree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
@@ -705,7 +706,8 @@ def _homotopy_side(space, coeffs, sigma_coarse, sigma_fine, fine_cover, theta0, 
                    phi, vertex_sub=False):
     """dH(phi) + Hd(phi) over sigma_fine, with d(phi) evaluated on demand, so
     only sigma levels n-1..n of the fine cover and level n of the coarse one
-    are ever enumerated."""
+    are ever enumerated. H asks for some cells of d(phi) more than once, so
+    each is computed once per call."""
     n = phi.degree
 
     def h(**kwargs):
@@ -715,8 +717,8 @@ def _homotopy_side(space, coeffs, sigma_coarse, sigma_fine, fine_cover, theta0, 
     d_h = (ss_differential(space, coeffs, sigma_fine, h(phi=phi)) if n >= 1
            else ss_zero(space, coeffs, sigma_fine, n))
     phi_at = ss_lookup(phi)
-    h_d = h(degree=n + 1, phi_at=lambda label, point: ss_differential_value(
-        space, coeffs, sigma_coarse, phi_at, n, label, point))
+    h_d = h(degree=n + 1, phi_at=functools.cache(lambda label, point: ss_differential_value(
+        space, coeffs, sigma_coarse, phi_at, n, label, point)))
     return ss_add(space, coeffs, sigma_fine, d_h, h_d)
 
 

@@ -207,12 +207,15 @@ def cohomology(G, A, n, with_generators=False):
     """H^n(G, A) in canonical invariant-factor form.
 
     With with_generators=True also returns representative cocycles, one per
-    canonical factor.
+    canonical factor. Only C^{n-1} -> C^n -> C^{n+1} is built: homology_at
+    reads no other part of the complex.
     """
-    cx = cochain_complex(G, A, n + 1)
+    low = max(n - 1, 0)
+    cx = AbComplex(tuple(cochain_group(G, A, k) for k in range(low, n + 2)),
+                   tuple(differential_matrix(G, A, k) for k in range(low, n + 1)))
     if not with_generators:
-        return homology_at(cx, n)
-    factors, vecs = homology_at(cx, n, with_generators=True)
+        return homology_at(cx, n - low)
+    factors, vecs = homology_at(cx, n - low, with_generators=True)
     gens = [unflatten_cochain(G, A, n, v) for v in vecs]
     return factors, gens
 
@@ -245,7 +248,8 @@ def is_cocycle(G, A, c):
 def is_coboundary(G, A, c):
     """A witness b with db = c, or None.
 
-    At degree 0 the only coboundary is zero (there is nothing below), in which
+    The witness comes from the sparse solve of image_membership_witness. At
+    degree 0 the only coboundary is zero (there is nothing below), in which
     case the witness is the empty degree -1 cochain.
     """
     n = c.degree

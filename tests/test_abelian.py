@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -317,3 +318,49 @@ def test_invariant_factors_from_orders():
     G = FinAbGroup((6,))
     inv = invariant_factors_from_orders([G.element_order(v) for v in G.elements()])
     assert inv == InvariantFactors((6,), 0)
+
+
+# orders with two primes (6, 10, 12), prime powers, and Z (0)
+ORDERS = st.sampled_from((0, 0, 2, 3, 4, 5, 6, 9, 10, 12))
+
+
+@st.composite
+def well_defined_homs(draw):
+    """A well-defined hom between presented groups of at most four generators:
+    the column of a generator of order s is a multiple of t_i / gcd(s, t_i) in
+    each row of order t_i, and zero in a Z row."""
+    s = draw(st.lists(ORDERS, min_size=1, max_size=4))
+    t = draw(st.lists(ORDERS, min_size=1, max_size=4))
+    rows = []
+    for ti in t:
+        row = []
+        for sc in s:
+            a = draw(st.integers(-6, 6))
+            if sc and not ti:
+                a = 0
+            elif sc:
+                a *= ti // gcd(sc, ti)
+            row.append(a)
+        rows.append(row)
+    h = AbHom(FinAbGroup(tuple(s)), FinAbGroup(tuple(t)), IntegerMatrix.from_rows(rows))
+    assert hom_is_well_defined(h)
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_defined_homs(), st.data())
+def test_membership_witness_matches_dense_solve(h, data):
+    # the sparse witness against dense solve_columns on [h | relations]: the
+    # same solvability, and the witness maps onto the target
+    t = h.target
+    if data.draw(st.booleans()):  # in the image
+        x = data.draw(st.lists(st.integers(-20, 20), min_size=h.source.ngens,
+                               max_size=h.source.ngens))
+        b = h.apply(x)
+    else:
+        b = tuple(data.draw(st.integers(-20, 20)) for _ in range(t.ngens))
+    dense = solve_columns(h.matrix.hstack(t.relation_matrix()), IntegerMatrix.column(list(b)))
+    w = image_membership_witness(h, b)
+    assert (w is None) == (dense is None)
+    if w is not None:
+        assert h.apply(w) == t.reduce(b)

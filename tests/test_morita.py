@@ -2,11 +2,22 @@ import random
 
 import pytest
 
+from timing import time_limit
+
+from groupoid_cohomology import abelian
 from groupoid_cohomology.abelian import AbHom, FinAbGroup, IntegerMatrix
 from groupoid_cohomology.cech import BudgetExceeded
-from groupoid_cohomology.cohomology import cohomology
-from groupoid_cohomology.gmodule import GModule, constant_module
-from groupoid_cohomology.groupoid import cyclic_group, pair_groupoid
+from groupoid_cohomology.classify import ext_classes
+from groupoid_cohomology.cli import parse, run
+from groupoid_cohomology.cohomology import (
+    cochain_group,
+    cohomology,
+    differential,
+    is_coboundary,
+    unflatten_cochain,
+)
+from groupoid_cohomology.gmodule import GModule, constant_module, pullback_module
+from groupoid_cohomology.groupoid import cover_groupoid, cyclic_group, pair_groupoid
 from groupoid_cohomology.morita import cover_nerve_structure, morita_compare
 from groupoid_cohomology.randomized import random_instance, random_object_cover
 
@@ -81,3 +92,104 @@ def test_cover_nerve_structure_counts():
         sets = random_object_cover(rng, G, max_sets=3)
         for n in range(3):
             assert cover_nerve_structure(G, sets, n).consistent
+
+
+def test_ext_counts_match_ext_classes():
+    # the ext counts (orders of the factors-only H^2) against the classes
+    # ext_classes enumerates, with and without degree 2 among the rows
+    rng = random.Random(7)
+    done = 0
+    while done < 12:
+        G, A = random_instance(rng, max_arrows=6)
+        sets = random_object_cover(rng, G, max_sets=2)
+        degrees = (0, 1) if done % 2 else (0, 1, 2)
+        try:
+            rep = morita_compare(G, A, sets, degrees=degrees, max_nerve=300, compare_ext=True)
+        except BudgetExceeded:
+            continue
+        cg = cover_groupoid(G, sets)
+        with time_limit(10):
+            left = len(ext_classes(G, A).classes)
+            right = len(ext_classes(cg.groupoid, pullback_module(cg.canon, A)).classes)
+        assert (rep.ext_left, rep.ext_right) == (left, right)
+        done += 1
+
+
+# C2 acting by -1 on Z/5 beside a point with (Z/2)^2: the dense SNF of
+# ext_classes on its cover groupoid for {y}, {x, y} has no bound on growth
+TWO_FIBER_DOC = """\
+groupoid: table
+object: x
+object: y
+arrow: e x x
+arrow: g x x
+arrow: u y y
+compose: e e e
+compose: e g g
+compose: g e g
+compose: g g e
+compose: u u u
+unit: x e
+unit: y u
+module: fibers
+fiber: x 5
+fiber: y 2,2
+action: g [[4]]
+"""
+TWO_FIBER = parse(TWO_FIBER_DOC)
+
+
+def test_two_fiber_morita_document():
+    with time_limit(5):
+        results, code = run(parse(TWO_FIBER_DOC + "task: morita 1|0,1\n"))
+    assert code == 0
+    (result,) = results
+    assert result.ok and result.data["ext_left"] == result.data["ext_right"] == 1
+    assert [(r["left"], r["right"]) for r in result.data["rows"]] == [
+        ({"torsion": [2, 2], "free_rank": 0},) * 2, ({"torsion": [], "free_rank": 0},) * 2,
+        ({"torsion": [], "free_rank": 0},) * 2]
+
+
+def test_two_fiber_ext_counts():
+    G, A = TWO_FIBER.groupoid, TWO_FIBER.module
+    with time_limit(5):
+        rep = morita_compare(G, A, [{1}, {0, 1}], compare_ext=True)
+    assert rep.ok and rep.ext_left == rep.ext_right == 1
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    f = getattr(abelian, name)
+    monkeypatch.setattr(abelian, name, lambda *a: calls.append(a) or f(*a))
+    return calls
+
+
+def test_no_dense_snf_for_morita_or_coboundaries(monkeypatch):
+    # Modulo a prime every nonzero entry is a unit pivot, so the sparse
+    # kernel leaves no residual block: a witness solve over prime fibers and
+    # a Morita check whose fibers share one prime never reach the dense
+    # Smith normal form.
+    snf = _counting(monkeypatch, "_smith_with_inverses")
+    solve = _counting(monkeypatch, "solve_columns")
+    C3 = cyclic_group(3)
+    A3 = constant_module(C3, FinAbGroup((3,)))
+    G, A = TWO_FIBER.groupoid, TWO_FIBER.module
+    rng = random.Random(3)
+    for group, module in [(C2, A22), (C3, A3), (G, A)]:
+        if group is not G:
+            assert morita_compare(group, module, [{0}, {0}], compare_ext=True).ok
+        for n in (1, 2):
+            for _ in range(4):
+                vec = [rng.randrange(6) for _ in range(cochain_group(group, module, n - 1).ngens)]
+                d = differential(group, module, unflatten_cochain(group, module, n - 1, vec))
+                w = is_coboundary(group, module, d)
+                assert w is not None and differential(group, module, w).values == d.values
+    assert snf == [] and solve == []
+    # Mixed orders 5 and 2 leave the last pass of homology_at, modulo
+    # lcm = 10, a residual block whose entries are at most 10; the generator
+    # path is never entered.
+    assert morita_compare(G, A, [{1}, {0, 1}], compare_ext=True).ok
+    assert snf and all(abs(x) <= 10 for (M,) in snf for row in M.entries for x in row)
+    assert solve == []
+    ext_classes(C3, A3)  # the generator path does run the dense SNF
+    assert solve
