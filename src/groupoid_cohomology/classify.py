@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .abelian import ShapeError
 from .cohomology import (
@@ -30,7 +31,7 @@ from .cohomology import (
     make_cochain,
     zero_cochain,
 )
-from .groupoid import FiniteGroupoid, GroupoidMorphism, NerveTuple, Report, validate
+from .groupoid import FiniteGroupoid, GroupoidMorphism, Report, validate
 
 
 class NotACocycleError(ValueError):
@@ -53,13 +54,37 @@ def _require_finite(A):
 
 def _phi2(G, phi):
     """Lookup (g, h) -> value for a degree-2 cochain."""
-    index = G.nerve_index(2)
-    return lambda g, h: phi.values[index[NerveTuple(G.tgt[g], (g, h))]]
+    index = G.tuple_index(2)
+    return lambda g, h: phi.values[index[g, h]]
 
 
 def _phi1(G, phi):
-    index = G.nerve_index(1)
-    return lambda g: phi.values[index[NerveTuple(G.tgt[g], (g,))]]
+    """Lookup g -> value for a degree-1 cochain (nerve(1) lists the arrows by id)."""
+    return lambda g: phi.values[g]
+
+
+class _FiberTable(NamedTuple):
+    """A finite fiber on element positions: its elements in `elements()`
+    order, the position of each element, and addition and negation as
+    tables of positions."""
+
+    elements: list
+    position: dict
+    add: list
+    neg: list
+
+
+def _fiber_table(fib):
+    # positions are mixed-radix numbers with the first generator most
+    # significant, so the tables grow one generator at a time from the last
+    elements = fib.elements()
+    add, neg = [[0]], [0]
+    for d in reversed(fib.orders):
+        w = len(neg)
+        add = [[(i // w + j // w) % d * w + add[i % w][j % w] for j in range(d * w)]
+               for i in range(d * w)]
+        neg = [-(i // w) % d * w + neg[i % w] for i in range(d * w)]
+    return _FiberTable(elements, {a: i for i, a in enumerate(elements)}, add, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -167,53 +192,60 @@ def validate_extension(E):
 def extension_from_cocycle(G, A, phi):
     """The extension built from a degree-2 cocycle (trivial arrow cover).
 
-    Arrows are pairs (a, g) with a in the fiber at r(g); the product is
-    (a, g)(b, h) = (a + g.b + phi(g, h), gh) and the unit over x is
-    (-phi(x, x), x). Rejects non-cocycles, citing a failing triple.
+    Arrows are pairs (a, g) with a in the fiber at r(g), numbered by arrow
+    and then by element; the product is (a, g)(b, h) = (a + g.b + phi(g, h),
+    gh) and the unit over x is (-phi(x, x), x). Rejects non-cocycles, citing
+    a failing triple. The tables are filled from integer tables made once
+    per call: fiber elements by position, addition and negation per object,
+    the action of each arrow on positions, and phi by arrow pair.
     """
     _require_finite(A)
     if phi.degree != 2:
         raise ShapeError("need a degree-2 cochain")
     _require_cocycle(G, A, phi)
-    val = _phi2(G, phi)
+    F = [_fiber_table(A.fiber(x)) for x in G.objects()]
+    offset, pairs = [], []
+    for g in G.arrows():
+        offset.append(len(pairs))
+        pairs.extend((g, a) for a in F[G.tgt[g]].elements)
+    act = [[F[G.tgt[g]].position[A.act(g, b)] for b in F[G.src[g]].elements]
+           for g in G.arrows()]
+    phi_at, after = {}, [[] for _ in G.arrows()]
+    for t, v in zip(G.nerve(2), phi.values):
+        g, h = t.arrows
+        x = G.tgt[g]
+        phi_at[g, h] = F[x].position[A.fiber(x).reduce(v)]
+        after[g].append(h)
+    phixx = [phi_at[e, e] for e in G.unit]
 
-    pairs = [(g, a) for g in G.arrows() for a in A.fiber(G.tgt[g]).elements()]
-    pairs.sort()
-    aid = {p: i for i, p in enumerate(pairs)}
-    src = [G.src[g] for (g, a) in pairs]
-    tgt = [G.tgt[g] for (g, a) in pairs]
-
-    def phixx(x):
-        e = G.unit[x]
-        return val(e, e)
-
-    unit = []
-    for x in G.objects():
-        fib = A.fiber(x)
-        unit.append(aid[(G.unit[x], fib.neg(phixx(x)))])
+    unit = [offset[G.unit[x]] + F[x].neg[phixx[x]] for x in G.objects()]
     comp = {}
-    for (g, a) in pairs:
-        for (h, b) in pairs:
-            if G.is_composable(g, h):
-                fib = A.fiber(G.tgt[g])
-                c = fib.add(fib.add(fib.reduce(a), A.act(g, b)), val(g, h))
-                comp[(aid[(g, a)], aid[(h, b)])] = aid[(G.compose(g, h), c)]
+    for g in G.arrows():
+        add_r = F[G.tgt[g]].add
+        # per composable h: offsets of h and gh, and g.b + phi(g, h) for each b
+        rows = [(offset[h], offset[G.comp[g, h]],
+                 [add_r[s][phi_at[g, h]] for s in act[g]]) for h in after[g]]
+        for i, add_i in enumerate(add_r):
+            e = offset[g] + i
+            for off_h, off_gh, shifted in rows:
+                for j, s in enumerate(shifted, off_h):
+                    comp[e, j] = off_gh + add_i[s]
     inv = []
-    for (g, a) in pairs:
-        gi = G.inv[g]
-        fib = A.fiber(G.tgt[g])
-        r = G.tgt[g]
-        total = fib.add(fib.add(fib.reduce(a), val(g, gi)), phixx(r))
-        inv.append(aid[(gi, A.fiber(G.src[g]).neg(A.act(gi, total)))])
+    for g in G.arrows():
+        gi, r = G.inv[g], G.tgt[g]
+        add_r, back, neg_s = F[r].add, act[gi], F[G.src[g]].neg
+        p, q = phi_at[g, gi], phixx[r]
+        inv.extend(offset[gi] + neg_s[back[add_r[add_i[p]][q]]] for add_i in add_r)
     labels = [f"[{a},{G.arrow_labels[g]}]" for (g, a) in pairs]
-    total = FiniteGroupoid(G.n_objects, src, tgt, unit, comp, inv,
+    total = FiniteGroupoid(G.n_objects, [G.src[g] for g, a in pairs],
+                           [G.tgt[g] for g, a in pairs], unit, comp, inv,
                            object_labels=G.object_labels, arrow_labels=labels)
     proj = tuple(g for (g, a) in pairs)
     inj = {}
     for x in G.objects():
-        fib = A.fiber(x)
-        for a in fib.elements():
-            inj[(x, a)] = aid[(G.unit[x], fib.sub(a, phixx(x)))]
+        base, minus = offset[G.unit[x]], F[x].neg[phixx[x]]
+        for a, add_a in zip(F[x].elements, F[x].add):
+            inj[(x, a)] = base + add_a[minus]
     return Extension(G, A, total, proj, inj, arrow_pairs=tuple(pairs))
 
 

@@ -13,16 +13,18 @@ first already lives in the fiber at r(g1); the module action transports the
 first one, so the whole differential is "apply each face, twist the 0-th".
 
 One face table drives every coboundary. `G.face_table(n)` holds, for each
-(n+1)-tuple in canonical order, the positions of its n+2 faces in nerve(n);
-`face_table(G, A, n)` adds the restriction of each face (the action of g1 on
-face 0, None for the identity on the others). `differential` applies the
-table to cochain values, and `assemble_coboundary` turns it into the integer
-matrix in one pass over the table. The Cech complexes of `cech` go
-through the same assembler with their own tables. Entries are left
-unreduced modulo the target orders: the dense generator path of
-`homology_at` picks its representative cocycles from the exact entries, and
-the factors-only path reduces them on entry anyway. H^n then comes out of
-elimination.
+(n+1)-tuple in canonical order, the positions of its n+2 faces in nerve(n).
+The restriction of face 0 is the action of g1, the others restrict by the
+identity. `differential` and `is_cocycle` walk the table on the cochain
+values: face 0 through the integer matrix of the action, the other faces
+with alternating signs, each entry reduced mod its order; `is_cocycle` stops
+at the first nonzero tuple and no matrix is built. `differential_matrix`
+hands the same table to `assemble_coboundary`, which turns it into the
+integer matrix in one pass; the Cech complexes of `cech` go through that
+assembler with their own tables. Entries are left unreduced modulo the
+target orders: the dense generator path of `homology_at` picks its
+representative cocycles from the exact entries, and the factors-only path
+reduces them on entry anyway. H^n then comes out of elimination.
 """
 
 from __future__ import annotations
@@ -173,27 +175,41 @@ def assemble_coboundary(source_fibers, target_fibers, table):
     return AbHom(source, target, IntegerMatrix(target.ngens, source.ngens, rows))
 
 
-def face_table(G, A, n):
-    """The face table of C^n -> C^{n+1}: face 0 of a tuple restricts by the
-    action of its first arrow, every other face by the identity."""
-    return [((faces[0], A.action(t.arrows[0])),) + tuple([(s, None) for s in faces[1:]])
-            for t, faces in zip(G.nerve(n + 1), G.face_table(n))]
-
-
 def differential(G, A, c):
-    """The coboundary of a total degree-n cochain, as a degree-(n+1) cochain."""
+    """The coboundary of a total degree-n cochain, as a degree-(n+1) cochain.
+
+    Values may be unreduced; the result is reduced into each fiber.
+    """
+    return Cochain(c.degree + 1, tuple(_coboundary_values(G, A, c)))
+
+
+def _coboundary_values(G, A, c):
+    # one pass over G.face_table(n): face 0 through the integer matrix of the
+    # action of g1, the other faces with alternating signs, then each entry
+    # mod its order (order 0: no reduction)
     n = c.degree
     values = c.values
-    return Cochain(n + 1, tuple(
-        alternating_sum(tuple_fiber(A, t), ((values[s], r) for s, r in faces))
-        for t, faces in zip(G.nerve(n + 1), face_table(G, A, n))))
+    for t, faces in zip(G.nerve(n + 1), G.face_table(n)):
+        v = values[faces[0]]
+        total = [sum([e * x for e, x in zip(row, v)])
+                 for row in A.action(t.arrows[0]).matrix.entries]
+        sign = -1
+        for s in faces[1:]:
+            for i, x in enumerate(values[s]):
+                total[i] += sign * x
+            sign = -sign
+        yield tuple([x % d if d else x for x, d in zip(total, A.fiber(t.obj).orders)])
 
 
 def differential_matrix(G, A, n):
     """The linearized differential C^n -> C^{n+1}, one column per generator."""
+    cells = G.nerve(n + 1)
+    # face 0 of a tuple restricts by the action of its first arrow, every
+    # other face by the identity
+    table = [((faces[0], A.action(t.arrows[0])),) + tuple([(s, None) for s in faces[1:]])
+             for t, faces in zip(cells, G.face_table(n))]
     return assemble_coboundary([tuple_fiber(A, t) for t in G.nerve(n)],
-                               [tuple_fiber(A, t) for t in G.nerve(n + 1)],
-                               face_table(G, A, n))
+                               [tuple_fiber(A, t) for t in cells], table)
 
 
 def cochain_complex(G, A, top):
@@ -241,8 +257,9 @@ def invariant_sections(G, A):
 
 
 def is_cocycle(G, A, c):
-    """dc = 0, checked exhaustively over nerve(G, degree+1)."""
-    return is_zero_cochain(differential(G, A, c))
+    """dc = 0, checked exhaustively over nerve(G, degree+1); stops at the
+    first tuple where dc is nonzero."""
+    return not any(any(v) for v in _coboundary_values(G, A, c))
 
 
 def is_coboundary(G, A, c):

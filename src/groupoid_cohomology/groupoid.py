@@ -216,22 +216,44 @@ class FiniteGroupoid:
             self._nerve_cache[key] = {t: i for i, t in enumerate(self.nerve(n))}
         return self._nerve_cache[key]
 
+    def tuple_index(self, n):
+        """Position in nerve(n), n >= 1, of each composable tuple given as a
+        plain tuple of arrow ids; the position of (g,) is g."""
+        key = ("tuples", n)
+        if key not in self._nerve_cache:
+            self._nerve_cache[key] = {t.arrows: i for i, t in enumerate(self.nerve(n))}
+        return self._nerve_cache[key]
+
     def face_table(self, n):
         """For each level-(n+1) tuple, the positions in nerve(n) of its n+2 faces.
 
         This is the only place faces of nerve tuples are computed for
         cochains; every coboundary of the groupoid complex reads this table.
+        Faces are formed on plain arrow tuples: at level 0 they are the
+        source and range objects, at level 1 arrow ids, and above that they
+        are looked up in `tuple_index`. `face` is the per-tuple definition.
 
         >>> cyclic_group(2).face_table(1)
         [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
         """
         key = ("faces", n)
         if key not in self._nerve_cache:
-            index = self.nerve_index(n)
-            ks = range(n + 2)
-            self._nerve_cache[key] = [tuple([index[face(self, k, t)] for k in ks])
-                                      for t in self.nerve(n + 1)]
+            self._nerve_cache[key] = self._faces(n)
         return self._nerve_cache[key]
+
+    def _faces(self, n):
+        if n == 0:
+            return list(zip(self.src, self.tgt))
+        comp = self.comp
+        chains = [t.arrows for t in self.nerve(n + 1)]
+        if n == 1:
+            return [(h, comp[g, h], g) for g, h in chains]
+        index = self.tuple_index(n)
+        inner = range(1, n + 1)
+        return [(index[a[1:]],)
+                + tuple([index[a[:k - 1] + (comp[a[k - 1], a[k]],) + a[k + 1:]] for k in inner])
+                + (index[a[:-1]],)
+                for a in chains]
 
 
 @dataclass

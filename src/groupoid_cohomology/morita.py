@@ -59,10 +59,17 @@ def morita_compare(G, A, sets, degrees=(0, 1, 2), max_nerve=3000,
     With compare_ext and finite fibers, ext_left and ext_right are the
     numbers of extension classes, |H^2| of each side, read from the degree-2
     row or computed factors-only when 2 is not among the degrees.
+
+    Raises BudgetExceeded when the cover groupoid has more than max_nerve
+    tuples at the highest nerve level read: max(degrees) + 1, and at least
+    3 when the ext counts are taken.
     """
     cg = cover_groupoid(G, sets)
     H = cg.groupoid
-    top = max(degrees) + 1
+    ext = compare_ext and A.all_fibers_finite
+    # H^n reads the nerve up to level n + 1, and the ext count reads H^2;
+    # nerve sizes never shrink with the level, so the top level bounds all
+    top = max(max(degrees), 2 if ext else 0) + 1
     if len(H.nerve(top)) > max_nerve:
         raise BudgetExceeded(
             f"cover groupoid nerve has {len(H.nerve(top))} tuples at level {top}",
@@ -71,7 +78,7 @@ def morita_compare(G, A, sets, degrees=(0, 1, 2), max_nerve=3000,
     report = MoritaReport()
     for n in degrees:
         report.rows.append(MoritaRow(n, cohomology(G, A, n), cohomology(H, pulled, n)))
-    if compare_ext and A.all_fibers_finite:
+    if ext:
         # Ext = H^2 in the discrete setting: one class per element, so the
         # count is the order of the factors-only H^2, no representative needed
         h2 = next((r for r in report.rows if r.degree == 2), None)

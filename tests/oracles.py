@@ -3,7 +3,9 @@
 Nothing here calls the library's differential, matrix or homology code: the
 group-cohomology oracle enumerates cochains as dictionaries and applies the
 alternating-sum formula written out from scratch; quotient group types are
-recovered from element orders alone.
+recovered from element orders alone. The groupoid differential and the
+extension builder have face-by-face and pair-by-pair references here, on
+`groupoid.face`, FinAbGroup arithmetic and the module action only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import itertools
 from math import lcm, prod
 
 from groupoid_cohomology.abelian import InvariantFactors
-from groupoid_cohomology.groupoid import GroupoidMorphism
+from groupoid_cohomology.classify import Extension, NotACocycleError
+from groupoid_cohomology.groupoid import FiniteGroupoid, GroupoidMorphism, face
 
 
 def cyclic_table(n):
@@ -257,3 +260,83 @@ def find_isomorphism(G, H):
             if morphism.is_morphism():
                 return morphism
     return None
+
+
+def face_table_by_faces(G, n):
+    """Positions in nerve(n) of the n+2 faces of each (n+1)-tuple, one
+    `face` call and one NerveTuple lookup per face."""
+    index = {t: i for i, t in enumerate(G.nerve(n))}
+    return [tuple(index[face(G, k, t)] for k in range(n + 2)) for t in G.nerve(n + 1)]
+
+
+def differential_by_faces(G, A, c):
+    """The values of dc, one tuple per (n+1)-tuple, by the alternating face
+    sum written out on `face` and FinAbGroup arithmetic: face 0 is moved
+    into the fiber at r(g1) by the action of g1."""
+    n = c.degree
+    index = {t: i for i, t in enumerate(G.nerve(n))}
+    out = []
+    for t in G.nerve(n + 1):
+        fib = A.fiber(t.obj)
+        total = fib.zero()
+        for k in range(n + 2):
+            v = c.values[index[face(G, k, t)]]
+            if k == 0:
+                v = A.act(t.arrows[0], v)
+            total = fib.sub(total, v) if k % 2 else fib.add(total, v)
+        out.append(total)
+    return tuple(out)
+
+
+def extension_from_cocycle_by_pairs(G, A, phi):
+    """The extension of a 2-cocycle built pair by pair: arrows (g, a) found
+    by dict lookup and every product through FinAbGroup and the module
+    action. The cocycle check walks faces, and a failure cites the first
+    failing tuple as the library does."""
+    for t, v in zip(G.nerve(3), differential_by_faces(G, A, phi)):
+        if any(x != 0 for x in v):
+            labels = tuple(G.arrow_labels[g] for g in t.arrows)
+            raise NotACocycleError(f"dphi != 0 at the tuple {labels}")
+    index = {t.arrows: i for i, t in enumerate(G.nerve(2))}
+
+    def val(g, h):
+        return phi.values[index[(g, h)]]
+
+    pairs = [(g, a) for g in G.arrows() for a in A.fiber(G.tgt[g]).elements()]
+    pairs.sort()
+    aid = {p: i for i, p in enumerate(pairs)}
+    src = [G.src[g] for (g, a) in pairs]
+    tgt = [G.tgt[g] for (g, a) in pairs]
+
+    def phixx(x):
+        e = G.unit[x]
+        return val(e, e)
+
+    unit = []
+    for x in G.objects():
+        fib = A.fiber(x)
+        unit.append(aid[(G.unit[x], fib.neg(phixx(x)))])
+    comp = {}
+    for (g, a) in pairs:
+        for (h, b) in pairs:
+            if G.is_composable(g, h):
+                fib = A.fiber(G.tgt[g])
+                c = fib.add(fib.add(fib.reduce(a), A.act(g, b)), val(g, h))
+                comp[(aid[(g, a)], aid[(h, b)])] = aid[(G.compose(g, h), c)]
+    inv = []
+    for (g, a) in pairs:
+        gi = G.inv[g]
+        fib = A.fiber(G.tgt[g])
+        r = G.tgt[g]
+        total = fib.add(fib.add(fib.reduce(a), val(g, gi)), phixx(r))
+        inv.append(aid[(gi, A.fiber(G.src[g]).neg(A.act(gi, total)))])
+    labels = [f"[{a},{G.arrow_labels[g]}]" for (g, a) in pairs]
+    total = FiniteGroupoid(G.n_objects, src, tgt, unit, comp, inv,
+                           object_labels=G.object_labels, arrow_labels=labels)
+    proj = tuple(g for (g, a) in pairs)
+    inj = {}
+    for x in G.objects():
+        fib = A.fiber(x)
+        for a in fib.elements():
+            inj[(x, a)] = aid[(G.unit[x], fib.sub(a, phixx(x)))]
+    return Extension(G, A, total, proj, inj, arrow_pairs=tuple(pairs))

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from oracles import extension_from_cocycle_by_pairs
+from test_morita import TWO_FIBER
 
 from groupoid_cohomology.abelian import AbHom, FinAbGroup, IntegerMatrix, InvariantFactors
 from groupoid_cohomology.classify import (
@@ -26,6 +28,7 @@ from groupoid_cohomology.classify import (
     verify_psi_coherence,
 )
 from groupoid_cohomology.cohomology import (
+    Cochain,
     cochain_sub,
     differential,
     is_coboundary,
@@ -38,6 +41,7 @@ from groupoid_cohomology.cohomology import (
 )
 from groupoid_cohomology.gmodule import GModule, constant_module
 from groupoid_cohomology.groupoid import cyclic_group, unit_groupoid
+from groupoid_cohomology.randomized import random_instance
 
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)
@@ -102,6 +106,53 @@ def test_extension_rejects_non_cocycle():
     with pytest.raises(NotACocycleError) as err:
         extension_from_cocycle(C2, A22, bad)
     assert "tuple" in str(err.value)
+
+
+def _assert_same_extension(E, R):
+    T, U = E.total, R.total
+    assert (T.n_objects, T.src, T.tgt, T.unit, T.inv) == (U.n_objects, U.src, U.tgt, U.unit, U.inv)
+    assert list(T.comp.items()) == list(U.comp.items())
+    assert (T.arrow_labels, T.object_labels) == (U.arrow_labels, U.object_labels)
+    assert E.proj == R.proj and list(E.inj.items()) == list(R.inj.items())
+    assert E.arrow_pairs == R.arrow_pairs
+    assert validate_extension(E).ok
+
+
+def _unreduced(rng, G, A, c):
+    """c with each value moved by a random multiple of its order."""
+    return Cochain(c.degree, tuple(
+        tuple(x + rng.randint(-3, 3) * d for x, d in zip(v, A.fiber(t.obj).orders))
+        for t, v in zip(G.nerve(c.degree), c.values)))
+
+
+def test_extension_builder_matches_pair_reference():
+    # the table-driven builder against the pair-by-pair reference on seeded
+    # fixtures with fibers of at most 4 elements, the two-fiber table module
+    # and the Ext classes of the fixtures: equal tables, in the same order
+    rng = random.Random(11)
+    cases = [(TWO_FIBER.groupoid, TWO_FIBER.module)]
+    while len(cases) < 25:
+        G, A = random_instance(rng, max_arrows=6)
+        if all(f.size <= 4 for f in A.fibers):
+            cases.append((G, A))
+    for G, A in cases:
+        b = unflatten_cochain(G, A, 1, [rng.randrange(d) for d in cochain_group(G, A, 1).orders])
+        phi = differential(G, A, b)
+        for c in (phi, _unreduced(rng, G, A, phi)):
+            _assert_same_extension(extension_from_cocycle(G, A, c),
+                                   extension_from_cocycle_by_pairs(G, A, c))
+        noise = unflatten_cochain(G, A, 2, [rng.randrange(d) for d in cochain_group(G, A, 2).orders])
+        if is_cocycle(G, A, noise):
+            continue
+        with pytest.raises(NotACocycleError) as err:
+            extension_from_cocycle(G, A, noise)
+        with pytest.raises(NotACocycleError) as want:
+            extension_from_cocycle_by_pairs(G, A, noise)
+        assert str(err.value) == str(want.value)
+    for G, A in FIXTURES:
+        for cls in ext_classes(G, A).classes:
+            _assert_same_extension(cls.extension,
+                                   extension_from_cocycle_by_pairs(G, A, cls.cocycle))
 
 
 def test_unnormalized_constant_cocycle():

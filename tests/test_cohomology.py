@@ -1,9 +1,18 @@
+import importlib
 import random
 
-from oracles import brute_force_group_cohomology, cyclic_table, periodic_resolution_cyclic
+from hypothesis import given, settings, strategies as st
+from oracles import (
+    brute_force_group_cohomology,
+    cyclic_table,
+    differential_by_faces,
+    face_table_by_faces,
+    periodic_resolution_cyclic,
+)
 
 from groupoid_cohomology.abelian import AbHom, FinAbGroup, IntegerMatrix, InvariantFactors
 from groupoid_cohomology.cohomology import (
+    Cochain,
     cochain_group,
     cohomology,
     differential,
@@ -19,12 +28,16 @@ from groupoid_cohomology.cohomology import (
 )
 from groupoid_cohomology.gmodule import GModule, constant_module, pullback_module
 from groupoid_cohomology.groupoid import (
+    FiniteGroupoid,
     GroupoidMorphism,
     cyclic_group,
     pair_groupoid,
     unit_groupoid,
 )
 from groupoid_cohomology.randomized import random_instance
+
+# the package exports the function `cohomology` under the module's name
+cohomology_module = importlib.import_module("groupoid_cohomology.cohomology")
 
 C2 = cyclic_group(2)
 C3 = cyclic_group(3)
@@ -237,3 +250,63 @@ def test_brute_force_small_group_degrees():
     for n in range(3):
         assert cohomology(C2, neg, n) == brute_force_group_cohomology(
             tbl2, 0, {0: 1, 1: 2}, 3, n)
+
+
+def _random_values(rng, G, A, n):
+    """Unreduced values of either sign, one tuple per level-n tuple."""
+    return Cochain(n, tuple(tuple(rng.randint(-40, 40) for _ in A.fiber(t.obj).orders)
+                            for t in G.nerve(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_differential_matches_face_walk(seed):
+    # the face-table walk, the assembled matrix and the arrow-tuple face
+    # table against one face call per face, at degrees 0-3 and with Z fibers
+    # among the draws
+    rng = random.Random(seed)
+    G, A = random_instance(rng, max_arrows=6, allow_infinite=True)
+    for n in range(4):
+        assert G.face_table(n) == face_table_by_faces(G, n)
+        c = _random_values(rng, G, A, n)
+        d = differential(G, A, c)
+        want = differential_by_faces(G, A, c)
+        assert d.values == want
+        assert differential_matrix(G, A, n).apply(flatten_cochain(G, A, c)) \
+            == flatten_cochain(G, A, d)
+        assert is_cocycle(G, A, c) == all(not any(v) for v in want)
+        if n < 3:
+            assert is_cocycle(G, A, d)
+
+
+def test_differential_is_per_module():
+    # C2 acting trivially and by -1 on Z/3 over one groupoid object: nothing
+    # computed for one module may serve the other
+    G = cyclic_group(2)
+    Z3 = FinAbGroup((3,))
+    trivial = constant_module(G, Z3)
+    negated = GModule(G, (Z3,), (AbHom.identity(Z3), AbHom(Z3, Z3, IntegerMatrix.from_rows([[-1]]))))
+    c = Cochain(1, ((0,), (1,)))
+    d = [differential(G, A, c) for A in (trivial, negated)]
+    assert d[0].values != d[1].values
+    for A, dc in zip((trivial, negated), d):
+        assert dc.values == differential_by_faces(G, A, c)
+    assert is_cocycle(G, negated, c) and not is_cocycle(G, trivial, c)
+    assert differential_matrix(G, trivial, 1).matrix != differential_matrix(G, negated, 1).matrix
+
+
+def test_is_cocycle_walks_the_cached_face_table(monkeypatch):
+    # repeated calls on one (G, A, n) build the face table once and assemble
+    # no matrix
+    calls = []
+    monkeypatch.setattr(cohomology_module, "assemble_coboundary",
+                        lambda *args: calls.append(args))
+    faces = FiniteGroupoid._faces
+    monkeypatch.setattr(FiniteGroupoid, "_faces",
+                        lambda self, n: calls.append(n) or faces(self, n))
+    G = cyclic_group(3)
+    A = constant_module(G, FinAbGroup((3,)))
+    rng = random.Random(4)
+    answers = [is_cocycle(G, A, _random_values(rng, G, A, 2)) for _ in range(20)]
+    d = differential(G, A, _random_values(rng, G, A, 2))
+    assert calls == [2] and not all(answers) and is_cocycle(G, A, d)

@@ -77,6 +77,17 @@ def test_budget_rejection():
         morita_compare(C6, A, [{0}, {0}, {0}], max_nerve=100)
 
 
+def test_ext_count_is_budgeted_at_level_three():
+    # without 2 among the degrees the ext count still computes H^2, which
+    # reads the level-3 nerve (64 tuples for C4)
+    C4 = cyclic_group(4)
+    A = constant_module(C4, FinAbGroup((4,)))
+    with pytest.raises(BudgetExceeded, match="nerve has 64 tuples at level 3") as err:
+        morita_compare(C4, A, [{0}], degrees=(0, 1), max_nerve=20, compare_ext=True)
+    assert err.value.estimate == 64
+    assert morita_compare(C4, A, [{0}], degrees=(0, 1), max_nerve=20).ok
+
+
 def test_cover_nerve_structure_counts():
     d = cover_nerve_structure(C2, [{0}, {0}], 1)
     assert d.count == 8 and d.consistent  # 2 * 2 * |G|
