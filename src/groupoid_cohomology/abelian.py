@@ -6,7 +6,7 @@ cyclic factor, so reduction "mod 0" is no reduction). The invariant factors
 of homology come from a sparse elimination on unit pivots modulo those
 orders, which keeps entries below the orders; dense Smith normal form only
 finishes the small residual block it leaves. Membership witnesses (h x = b)
-come from the same sparse kernel. Dense SNF with all four transforms still
+come from the same sparse kernel. Dense SNF with its transforms still
 computes homology with representative generators, whose values the
 extension tables depend on.
 
@@ -124,10 +124,10 @@ class IntegerMatrix:
 
 
 def _smith_with_inverses(M):
-    """Smith normal form with all four transforms.
+    """Smith normal form with three transforms.
 
-    Returns (S, U, V, Uinv, Vinv) with U*M*V = S, S diagonal, d1 | d2 | ...,
-    di >= 0, and U*Uinv = V*Vinv = identity. Pivoting picks the
+    Returns (S, U, V, Uinv) with U*M*V = S, S diagonal, d1 | d2 | ...,
+    di >= 0, U*Uinv = identity and V unimodular. Pivoting picks the
     minimal-absolute-value nonzero entry, which keeps coefficient growth tame
     on desk-scale matrices.
     """
@@ -136,7 +136,6 @@ def _smith_with_inverses(M):
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     Ui = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    Vi = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def swap_rows(i, j):
         if i == j:
@@ -153,7 +152,6 @@ def _smith_with_inverses(M):
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
@@ -176,9 +174,6 @@ def _smith_with_inverses(M):
             row[j] += q * row[i]
         for row in V:
             row[j] += q * row[i]
-        Vii, Vj = Vi[i], Vi[j]
-        for k in range(c):
-            Vii[k] -= q * Vj[k]
 
     def negate_row(i):
         S[i] = [-x for x in S[i]]
@@ -230,7 +225,7 @@ def _smith_with_inverses(M):
         t += 1
 
     return (IntegerMatrix(r, c, S), IntegerMatrix(r, r, U), IntegerMatrix(c, c, V),
-            IntegerMatrix(r, r, Ui), IntegerMatrix(c, c, Vi))
+            IntegerMatrix(r, r, Ui))
 
 
 def smith_normal_form(M):
@@ -240,13 +235,13 @@ def smith_normal_form(M):
     >>> S.is_zero(), U.entries, V == IntegerMatrix.identity(3)
     (True, ((1,),), True)
     """
-    S, U, V, _, _ = _smith_with_inverses(M)
+    S, U, V, _ = _smith_with_inverses(M)
     return S, U, V
 
 
 def kernel_basis(M):
     """Columns generating the lattice {x : M x = 0}, as an IntegerMatrix."""
-    S, _, V, _, _ = _smith_with_inverses(M)
+    S, _, V, _ = _smith_with_inverses(M)
     cols = []
     for j in range(M.cols):
         if j >= min(M.rows, M.cols) or S[j, j] == 0:
@@ -259,7 +254,7 @@ def solve_columns(M, B):
     """Solve M X = B exactly over Z; None if some column has no solution."""
     if M.rows != B.rows:
         raise ShapeError("row counts differ")
-    S, U, V, _, _ = _smith_with_inverses(M)
+    S, U, V, _ = _smith_with_inverses(M)
     k = min(M.rows, M.cols)
     xcols = []
     for b in B.columns():
@@ -395,9 +390,6 @@ class AbHom:
             raise ShapeError("composition mismatch")
         return AbHom(other.source, self.target, self.matrix * other.matrix)
 
-    def is_well_defined(self):
-        return hom_is_well_defined(self)
-
     def is_zero(self):
         """Zero as a map into the presented target (entries may be relations)."""
         return all(self.target.reduce(self.matrix.col(j)) == self.target.zero()
@@ -473,7 +465,7 @@ class InvariantFactors:
 
 def invariant_factors_of_presentation(ngens, relations):
     """Invariant factors of Z^ngens / (column lattice of `relations`)."""
-    S, _, _, _, _ = _smith_with_inverses(relations)
+    S, _, _, _ = _smith_with_inverses(relations)
     diag = S.diagonal()
     torsion = tuple(d for d in diag if d >= 2)
     nonzero = sum(1 for d in diag if d != 0)
@@ -761,7 +753,7 @@ def homology_at(cx, n, with_generators=False):
     and leaves dense SNF only a small residual block; so does every question
     that needs no representative (Morita rows and ext counts, coboundary
     witnesses). The generators still come from the dense path
-    (_kernel_lattice, solve_columns and a final SNF with all four
+    (_kernel_lattice, solve_columns and a final SNF with its
     transforms), the only caller of solve_columns: the representatives
     depend on the basis each elimination picks, and the extension and Baer
     tables of `classify` (and the CLI's --json output) are built from these
@@ -785,7 +777,7 @@ def homology_at(cx, n, with_generators=False):
         raise ArithmeticError("image does not lie in the kernel; not a complex at this degree")
     N = kernel_basis(K)
     Q = W.hstack(N)
-    S, _, _, Ui, _ = _smith_with_inverses(Q)
+    S, _, _, Ui = _smith_with_inverses(Q)
     diag = S.diagonal()
     torsion_positions = [(i, d) for i, d in enumerate(diag) if d >= 2]
     nonzero = sum(1 for d in diag if d != 0)

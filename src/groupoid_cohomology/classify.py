@@ -7,10 +7,17 @@ cocycle by a coboundary.
 Degree 2: cocycles correspond to extensions A -> E -> G over a fixed object
 set, with conjugation in E inducing the module action. The constructions are
 the explicit ones: a cocycle phi yields the total groupoid on pairs (a, g)
-with product (a, g)(b, h) = (a + g.b + phi(g, h), gh); a section of the
-projection recovers a cocycle; the Baer sum is the fiber product modulo the
-antidiagonal coefficient action. Non-normalized cocycles are accepted
-throughout, so the unit over x is (-phi(x, x), x).
+with product (a, g)(b, h) = (a + g.b + phi(g, h), gh); the Baer sum is the
+fiber product modulo the antidiagonal coefficient action. Non-normalized
+cocycles are accepted throughout, so the unit over x is (-phi(x, x), x).
+
+A section sigma of the projection gives one chart, e = i(a) sigma(proj e)
+for each arrow e of the total. The cocycle of sigma, the arrow map of an
+equivalence and the retraction of a split extension are all read from it.
+Both searches (equivalence, split section) are one backtracking search for
+sigma with sigma(u) sigma(v) = i(phi(u, v)) sigma(uv): phi is the canonical
+cocycle of the source for an equivalence and 0 for a split section. Covered
+cocycle data, glued by psi, go through the same builder as global cocycles.
 
 Everything here requires finite coefficient fibers; exhaustive searches
 (equivalences, morphism sections) are sound and complete at desk scale.
@@ -50,17 +57,6 @@ def _require_finite(A):
     if not A.all_fibers_finite:
         raise ValueError("finite coefficient fibers required; "
                          "use cohomology() for infinite coefficients")
-
-
-def _phi2(G, phi):
-    """Lookup (g, h) -> value for a degree-2 cochain."""
-    index = G.tuple_index(2)
-    return lambda g, h: phi.values[index[g, h]]
-
-
-def _phi1(G, phi):
-    """Lookup g -> value for a degree-1 cochain (nerve(1) lists the arrows by id)."""
-    return lambda g: phi.values[g]
 
 
 class _FiberTable(NamedTuple):
@@ -110,13 +106,6 @@ class Extension:
 
     def lifts(self, g):
         return [e for e in self.total.arrows() if self.proj[e] == g]
-
-    def inj_inverse(self):
-        return {arrow: key for key, arrow in self.inj.items()}
-
-    def coefficient_of(self, e):
-        """i^{-1}(e) for an arrow in the image of inj; KeyError otherwise."""
-        return self.inj_inverse()[e]
 
     def act_coefficient(self, a, x, e):
         """i(a) * e, for a in the fiber at x = r(e)."""
@@ -267,9 +256,18 @@ def canonical_section(E):
     return tuple(out)
 
 
+def _coordinates(E, section):
+    """The chart of a section: for each arrow e of the total, the coefficient
+    a with e = i(a) * section[proj e]."""
+    T = E.total
+    coefficient = {arrow: a for (x, a), arrow in E.inj.items()}
+    return [coefficient[T.comp[e, T.inv[section[g]]]] for e, g in enumerate(E.proj)]
+
+
 def cocycle_from_extension(E, section=None):
     """The degree-2 cocycle of a section: sigma(g) sigma(h) = i(phi(g,h)) sigma(gh).
 
+    phi(g, h) is the chart value of sigma(g) sigma(h), which lies over gh.
     Any set-level section works; different sections give cohomologous results.
     """
     G, T, A = E.base, E.total, E.module
@@ -280,34 +278,34 @@ def cocycle_from_extension(E, section=None):
     for g in G.arrows():
         if E.proj[section[g]] != g:
             raise ValueError(f"section does not lift the arrow {g}")
-    inj_inv = E.inj_inverse()
-    values = []
-    for t in G.nerve(2):
-        g, h = t.arrows
-        prod = T.compose(section[g], section[h])
-        k = T.compose(prod, T.inv[section[G.compose(g, h)]])
-        x, a = inj_inv[k]
-        values.append(a)
+    chart = _coordinates(E, section)
+    values = [chart[T.comp[section[g], section[h]]] for g, h in (t.arrows for t in G.nerve(2))]
     return make_cochain(G, A, 2, values)
 
 
-def _search_lifts(G, E, multiplicative):
-    """Backtrack over one lift in E per arrow of G, units to units, non-units
-    in arrow order with candidates in `E.lifts` order; a partial choice is
-    pruned when multiplicative(assign, u, v, uv) fails on a composable pair
-    whose three arrows are all chosen. The first full choice, or None.
+def _search_lifts(E, twist):
+    """Backtrack over one lift in E per base arrow, units to units, non-units
+    in arrow order with candidates in `E.lifts` order. `twist` maps each
+    composable pair (u, v) of the base to an arrow over the unit at r(u); a
+    partial choice is pruned when sigma(u) sigma(v) != twist[u, v] sigma(uv)
+    on a pair whose three arrows are all chosen. The first full choice, or
+    None.
     """
+    G, T = E.base, E.total
+    comp = T.comp
+    lifts = [[] for _ in G.arrows()]
+    for e, g in enumerate(E.proj):
+        lifts[g].append(e)
     units = set(G.unit)
     nonunits = [g for g in G.arrows() if g not in units]
-    assign = {G.unit[x]: E.total.unit[x] for x in G.objects()}
+    assign = {G.unit[x]: T.unit[x] for x in G.objects()}
 
     def check_partial(g):
         for h in list(assign):
             for (u, v) in ((g, h), (h, g)):
-                if not G.is_composable(u, v):
-                    continue
-                uv = G.compose(u, v)
-                if uv in assign and not multiplicative(assign, u, v, uv):
+                uv = G.comp.get((u, v))
+                if (uv in assign
+                        and comp[assign[u], assign[v]] != comp[twist[u, v], assign[uv]]):
                     return False
         return True
 
@@ -315,7 +313,7 @@ def _search_lifts(G, E, multiplicative):
         if pos == len(nonunits):
             return True
         g = nonunits[pos]
-        for cand in E.lifts(g):
+        for cand in lifts[g]:
             assign[g] = cand
             if check_partial(g) and backtrack(pos + 1):
                 return True
@@ -329,11 +327,12 @@ def are_equivalent(E1, E2):
     """An isomorphism E1 -> E2 over the identity of A and G, or None.
 
     Exhaustive: the image of one lift per base arrow determines the rest by
-    coefficient equivariance, so the search runs over those choices and
-    prunes on multiplicativity. Complete at desk scale.
+    coefficient equivariance, e = i1(a) sigma1(g) |-> i2(a) sigma2(g) with a
+    read from the chart of the canonical section sigma1. The search runs over
+    the choices of sigma2, twisted by the canonical cocycle of E1. Complete
+    at desk scale.
     """
     G = E1.base
-    A = E1.module
     if E2.base is not G and E2.base.comp != G.comp:
         raise ShapeError("extensions live over different groupoids")
     if tuple(f.orders for f in E1.module.fibers) != tuple(f.orders for f in E2.module.fibers):
@@ -342,29 +341,13 @@ def are_equivalent(E1, E2):
     if T1.n_arrows != T2.n_arrows:
         return None
     sec1 = canonical_section(E1)
-    inj1_inv = E1.inj_inverse()
-
-    def decompose(e):
-        """e in T1 as (a, g): e = i1(a) * sec1[g]."""
-        g = E1.proj[e]
-        k = T1.compose(e, T1.inv[sec1[g]])
-        x, a = inj1_inv[k]
-        return a, g
-
-    def multiplicative(assign, u, v, uv):
-        a, _ = decompose(T1.compose(sec1[u], sec1[v]))
-        return (T2.compose(assign[u], assign[v])
-                == E2.act_coefficient(a, G.tgt[u], assign[uv]))
-
-    assign = _search_lifts(G, E2, multiplicative)
+    chart1 = _coordinates(E1, sec1)
+    twist = {(u, v): E2.inj[G.tgt[u], chart1[T1.comp[sec1[u], sec1[v]]]] for u, v in G.comp}
+    assign = _search_lifts(E2, twist)
     if assign is None:
         return None
-
-    def images_of(e):
-        a, g = decompose(e)
-        return E2.act_coefficient(a, T1.tgt[e], assign[g])
-
-    arrow_map = tuple(images_of(e) for e in T1.arrows())
+    arrow_map = tuple(T2.comp[E2.inj[T1.tgt[e], a], assign[g]]
+                      for e, (a, g) in enumerate(zip(chart1, E1.proj)))
     if len(set(arrow_map)) != T1.n_arrows:
         return None
     morphism = GroupoidMorphism(T1, T2, tuple(range(T1.n_objects)), arrow_map)
@@ -441,20 +424,17 @@ class StrictTrivialityWitness:
 def is_strictly_trivial(E):
     """Search for a groupoid-morphism section of proj; None is definitive.
 
-    On success the retraction phi(gamma) = gamma * section(proj(gamma))^{-1}
-    and the isomorphism onto the split extension are constructed as well.
+    The search is the lift search with every twist a unit (cocycle 0). On
+    success the retraction r, gamma = i(r(gamma)) * section(proj(gamma)), is
+    the chart of the section, and the isomorphism onto the split extension
+    is constructed as well.
     """
     G, T, A = E.base, E.total, E.module
-    assign = _search_lifts(G, E, lambda assign, u, v, uv:
-                           T.compose(assign[u], assign[v]) == assign[uv])
+    assign = _search_lifts(E, {(u, v): T.unit[G.tgt[u]] for u, v in G.comp})
     if assign is None:
         return None
     section = tuple(assign[g] for g in G.arrows())
-    inj_inv = E.inj_inverse()
-    retraction = {}
-    for e in T.arrows():
-        k = T.compose(e, T.inv[section[E.proj[e]]])
-        retraction[e] = inj_inv[k][1]
+    retraction = dict(enumerate(_coordinates(E, section)))
     split = strictly_trivial_extension(G, A)
     pair_id = {p: i for i, p in enumerate(split.arrow_pairs)}
     arrow_map = tuple(pair_id[(E.proj[e], retraction[e])] for e in T.arrows())
@@ -541,9 +521,8 @@ class CoveredCocycleData:
 def restrict_cocycle_to_cover(G, A, phi, cover):
     """Index a single global 2-cochain by every admissible triple of a cover."""
     cover = tuple(frozenset(s) for s in cover)
-    val = _phi2(G, phi)
     values = {}
-    for t in G.nerve(2):
+    for t, v in zip(G.nerve(2), phi.values):
         g, h = t.arrows
         gh = G.compose(g, h)
         for i, si in enumerate(cover):
@@ -555,7 +534,7 @@ def restrict_cocycle_to_cover(G, A, phi, cover):
                 for k, sk in enumerate(cover):
                     if h not in sk:
                         continue
-                    values.setdefault((i, j, k), {})[(g, h)] = val(g, h)
+                    values.setdefault((i, j, k), {})[(g, h)] = v
     return CoveredCocycleData(G, A, cover, values)
 
 
@@ -655,72 +634,23 @@ def extension_from_covered_cocycle(data):
 
     Classes of triples (a, g, k), g in cover[k], under (a, g, k) ~
     (a + psi_{kj}(g), g, j); representatives choose the smallest admissible
-    index. Coherence is verified first.
+    index. Coherence is verified first, and then psi_{jj} = 0, so psi only
+    moves a triple between indices and every class has exactly one
+    representative (a, g, j) at the smallest j. The product of
+    representatives is (a + g.b + phi_{ijk}(g, h), gh, j) at the smallest
+    indices i, j, k of g, gh and h, so the total is extension_from_cocycle
+    of phi'(g, h) = phi_{ijk}(g, h) at those indices. The covered cocycle
+    identity at those indices says that phi' is a cocycle.
     """
     G, A = data.base, data.module
     _require_finite(A)
     report = verify_psi_coherence(data)
     if not report.ok:
         raise NotACocycleError("; ".join(report.failures[:3]))
-    psi = report.psi
-
-    def min_index(g):
-        return next(j for j, s in enumerate(data.cover) if g in s)
-
-    def rep(a, g, k):
-        j = min_index(g)
-        fib = A.fiber(G.tgt[g])
-        return (g, fib.add(fib.reduce(a), psi[(k, j, g)]), j)
-
-    reps = sorted({rep(a, g, k)
-                   for k, s in enumerate(data.cover) for g in s
-                   for a in A.fiber(G.tgt[g]).elements()})
-    aid = {p: i for i, p in enumerate(reps)}
-    src = [G.src[g] for (g, a, j) in reps]
-    tgt = [G.tgt[g] for (g, a, j) in reps]
-
-    def unit_rep(x):
-        e = G.unit[x]
-        i = min_index(e)
-        fib = A.fiber(x)
-        return rep(fib.neg(data.value(i, i, i, e, e)), e, i)
-
-    unit = [aid[unit_rep(x)] for x in G.objects()]
-    comp = {}
-    for (g, a, i) in reps:
-        for (h, b, k) in reps:
-            if not G.is_composable(g, h):
-                continue
-            gh = G.compose(g, h)
-            j = min_index(gh)
-            fib = A.fiber(G.tgt[g])
-            c = fib.add(fib.add(fib.reduce(a), A.act(g, b)), data.value(i, j, k, g, h))
-            comp[(aid[(g, a, i)], aid[(h, b, k)])] = aid[rep(c, gh, j)]
-    # inverses by table search: the total is a finite groupoid candidate
-    inv = [None] * len(reps)
-    for n, (g, a, i) in enumerate(reps):
-        gi = G.inv[g]
-        for m, (h, b, j) in enumerate(reps):
-            if h != gi:
-                continue
-            if (comp.get((n, m)) == unit[G.tgt[g]] and comp.get((m, n)) == unit[G.src[g]]):
-                inv[n] = m
-                break
-        if inv[n] is None:
-            raise NotACocycleError(f"no inverse for the class of {reps[n]}")
-    labels = [f"[{a},{G.arrow_labels[g]},{j}]" for (g, a, j) in reps]
-    total = FiniteGroupoid(G.n_objects, src, tgt, unit, comp, inv,
-                           object_labels=G.object_labels, arrow_labels=labels)
-    proj = tuple(g for (g, a, j) in reps)
-    inj = {}
-    for x in G.objects():
-        fib = A.fiber(x)
-        e = G.unit[x]
-        i = min_index(e)
-        phixx = data.value(i, i, i, e, e)
-        for a in fib.elements():
-            inj[(x, a)] = aid[rep(fib.sub(a, phixx), e, i)]
-    return Extension(G, A, total, proj, inj)
+    first = [next(j for j, s in enumerate(data.cover) if g in s) for g in G.arrows()]
+    values = [data.value(first[g], first[G.comp[g, h]], first[h], g, h)
+              for g, h in (t.arrows for t in G.nerve(2))]
+    return extension_from_cocycle(G, A, make_cochain(G, A, 2, values))
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +747,6 @@ def torsor_from_cocycle(G, A, phi):
     if phi.degree != 1:
         raise ShapeError("need a degree-1 cochain")
     _require_cocycle(G, A, phi)
-    val = _phi1(G, phi)
     points = sorted((x, a) for x in G.objects() for a in A.fiber(x).elements())
     pid = {p: i for i, p in enumerate(points)}
     anchor = tuple(x for (x, a) in points)
@@ -831,7 +760,7 @@ def torsor_from_cocycle(G, A, phi):
         s, r = G.src[g], G.tgt[g]
         fib = A.fiber(r)
         for a in A.fiber(s).elements():
-            g_act[(g, pid[(s, a)])] = pid[(r, fib.sub(A.act(g, a), val(g)))]
+            g_act[(g, pid[(s, a)])] = pid[(r, fib.sub(A.act(g, a), phi.values[g]))]
     return EquivariantTorsor(G, A, len(points), anchor, plus, g_act)
 
 

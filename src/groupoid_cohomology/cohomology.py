@@ -85,12 +85,6 @@ def cochain_sub(G, A, c1, c2):
                                     for t, v, w in zip(tuples, c1.values, c2.values)))
 
 
-def cochain_neg(G, A, c):
-    tuples = G.nerve(c.degree)
-    return Cochain(c.degree, tuple(tuple_fiber(A, t).neg(v)
-                                   for t, v in zip(tuples, c.values)))
-
-
 def is_zero_cochain(c):
     return all(all(x == 0 for x in v) for v in c.values)
 
@@ -249,11 +243,10 @@ class InvariantSections:
 
 
 def invariant_sections(G, A):
-    """Degree-0 cocycles: sections of the fiber bundle fixed by every arrow."""
-    groups = (cochain_group(G, A, 0), cochain_group(G, A, 1))
-    cx = AbComplex(groups, (differential_matrix(G, A, 0),))
-    factors, vecs = homology_at(cx, 0, with_generators=True)
-    return InvariantSections(factors, tuple(unflatten_cochain(G, A, 0, v) for v in vecs))
+    """Degree-0 cocycles: sections of the fiber bundle fixed by every arrow,
+    which is H^0 with its generators."""
+    factors, gens = cohomology(G, A, 0, with_generators=True)
+    return InvariantSections(factors, tuple(gens))
 
 
 def is_cocycle(G, A, c):

@@ -97,9 +97,6 @@ class MonotoneMap:
             raise ValueError("composition mismatch")
         return MonotoneMap(self.codomain, tuple(self.values[v] for v in other.values))
 
-    def is_injective(self):
-        return all(a < b for a, b in zip(self.values, self.values[1:]))
-
 
 def all_monotone_maps(k, n):
     """Every nondecreasing [k] -> [n], lexicographically."""
@@ -351,36 +348,12 @@ def degeneracy(G, i, t):
     return NerveTuple(t.obj, t.arrows[:i] + (u,) + t.arrows[i:])
 
 
-def _apply_injective(G, f, t):
-    # product formula: block j is g_{f(j-1)+1} ... g_{f(j)}
-    verts = G.vertices(t)
-    k = f.domain
-    if k == 0:
-        return NerveTuple(verts[f.values[0]])
-    arrows = []
-    for j in range(1, k + 1):
-        lo, hi = f.values[j - 1], f.values[j]
-        block = t.arrows[lo:hi]
-        arrows.append(G.compose_list(list(block), at_object=verts[hi]))
-    return NerveTuple(verts[f.values[0]], tuple(arrows))
-
-
-def _apply_surjective(G, values, codomain, t):
-    # peel elementary degeneracies off a surjective monotone map
-    k = len(values) - 1
-    if k == codomain:
-        return t
-    j = next(i for i in range(k) if values[i] == values[i + 1])
-    shorter = values[:j] + values[j + 1:]
-    return degeneracy(G, j, _apply_surjective(G, shorter, codomain, t))
-
-
 def simplicial_map(G, f, t):
     """Apply the structure map of a monotone f: [k] -> [n] to a level-n tuple.
 
-    Injective maps use the explicit product formula; everything else factors
-    through its image as (surjection after injection), so degeneracies insert
-    the units.
+    One product formula serves every f: block j is g_{f(j-1)+1} ... g_{f(j)},
+    and an empty block (f(j-1) = f(j)) is the unit at vertex f(j). The result
+    starts at vertex f(0). `face` and `degeneracy` are the elementary cases.
 
     >>> C2 = cyclic_group(2)
     >>> t = NerveTuple(0, (1, 1, 0))
@@ -389,14 +362,10 @@ def simplicial_map(G, f, t):
     """
     if t.level != f.codomain:
         raise ValueError(f"tuple level {t.level} != codomain {f.codomain}")
-    if f.is_injective():
-        return _apply_injective(G, f, t)
-    image = tuple(sorted(set(f.values)))
-    eps = MonotoneMap(f.codomain, image)
-    positions = {v: i for i, v in enumerate(image)}
-    eta_values = tuple(positions[v] for v in f.values)
-    s = _apply_injective(G, eps, t)
-    return _apply_surjective(G, eta_values, len(image) - 1, s)
+    verts = G.vertices(t)
+    v = f.values
+    return NerveTuple(verts[v[0]], tuple(G.compose_list(t.arrows[lo:hi], at_object=verts[hi])
+                                         for lo, hi in zip(v, v[1:])))
 
 
 @dataclass(frozen=True)

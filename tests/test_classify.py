@@ -369,6 +369,55 @@ def test_psi_randomized_generator_checker():
             assert are_equivalent(Ecov, extension_from_cocycle(G, A, phi)) is not None
 
 
+def _moved_cover_data(rng, G, A, phi, cover):
+    """phi_{ijk}(g, h) = phi(g, h) + c_i(g) + g.c_k(h) - c_j(gh), with a random
+    1-cochain c_l on each cover[l] that is zero on units."""
+    data = restrict_cocycle_to_cover(G, A, phi, cover)
+    units = set(G.unit)
+    c = [{g: A.fiber(G.tgt[g]).reduce(tuple(0 if g in units else rng.randrange(d)
+                                            for d in A.fiber(G.tgt[g]).orders))
+          for g in s} for s in data.cover]
+    values = {}
+    for (i, j, k), vals in data.values.items():
+        values[i, j, k] = {}
+        for (g, h), v in vals.items():
+            fib = A.fiber(G.tgt[g])
+            w = fib.add(fib.add(v, c[i][g]), A.act(g, c[k][h]))
+            values[i, j, k][g, h] = fib.sub(w, c[j][G.compose(g, h)])
+    return CoveredCocycleData(G, A, data.cover, values)
+
+
+def test_covered_cocycle_that_is_not_a_restriction():
+    # the indexed values differ from phi by the Cech-style coboundary of the
+    # c_l, so psi can be nonzero and the builder must glue across indices
+    rng = random.Random(37)
+    cases = list(FIXTURES) + [(TWO_FIBER.groupoid, TWO_FIBER.module)]
+    while len(cases) < 12:
+        G, A = random_instance(rng, max_arrows=6)
+        if all(1 < f.size <= 4 for f in A.fibers):
+            cases.append((G, A))
+    moved = glued = checked = 0
+    for G, A in cases:
+        for cls in ext_classes(G, A).classes[:3] * 2:
+            phi = cls.cocycle
+            # two or three overlapping pieces
+            cover = [{g for g in G.arrows() if rng.random() < 0.6}
+                     for _ in range(rng.randint(2, 3))]
+            cover[0] |= set(G.arrows()).difference(*cover)
+            data = _moved_cover_data(rng, G, A, phi, cover)
+            val = {t.arrows: v for t, v in zip(G.nerve(2), phi.values)}
+            moved += sum(v != val[gh] for vals in data.values.values()
+                         for gh, v in vals.items())
+            report = verify_psi_coherence(data)
+            assert report.ok, report.failures[:3]
+            glued += any(any(v) for v in report.psi.values())
+            E = extension_from_covered_cocycle(data)
+            assert validate_extension(E).ok
+            assert are_equivalent(E, extension_from_cocycle(G, A, phi)) is not None
+            checked += 1
+    assert checked >= 30 and moved >= 100 and glued >= 5
+
+
 def test_psi_detects_non_cocycle():
     phi, _ = nonsplit_extension()
     cover = [set(C2.arrows()), set(C2.arrows())]
