@@ -329,9 +329,6 @@ class FinAbGroup:
     def sub(self, u, v):
         return self.reduce(tuple(a - b for a, b in zip(u, v)))
 
-    def scale(self, n, u):
-        return self.reduce(tuple(n * a for a in u))
-
     def elements(self):
         """All elements, lexicographically. Finite groups only."""
         if not self.is_finite:

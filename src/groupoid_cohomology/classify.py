@@ -38,7 +38,7 @@ from .cohomology import (
     make_cochain,
     zero_cochain,
 )
-from .groupoid import FiniteGroupoid, GroupoidMorphism, Report, validate
+from .groupoid import FiniteGroupoid, GroupoidMorphism, Report, memberships, validate
 
 
 class NotACocycleError(ValueError):
@@ -492,27 +492,21 @@ class CoveredCocycleData:
 
     `cover[i]` is a subset of the arrows of G; phi_{ijk}(g, h) is defined
     exactly when g is in cover[i], gh in cover[j] and h in cover[k], and is
-    stored under values[(i, j, k)][(g, h)].
+    stored under values[(i, j, k)][(g, h)]. `indices_of[g]` lists the
+    increasing indices of the pieces that contain the arrow g.
     """
 
     base: FiniteGroupoid
     module: object
     cover: tuple[frozenset, ...]
     values: dict
+    indices_of: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        G = self.base
         covered = set().union(*self.cover) if self.cover else set()
-        if covered != set(G.arrows()):
+        if covered != set(self.base.arrows()):
             raise ValueError("family must cover the arrows")
-
-    def admissible(self, g, h):
-        G = self.base
-        gh = G.compose(g, h)
-        return [(i, j, k)
-                for i in range(len(self.cover)) if g in self.cover[i]
-                for j in range(len(self.cover)) if gh in self.cover[j]
-                for k in range(len(self.cover)) if h in self.cover[k]]
+        self.indices_of = memberships(self.base.n_arrows, self.cover)
 
     def value(self, i, j, k, g, h):
         return self.values[(i, j, k)][(g, h)]
@@ -520,22 +514,13 @@ class CoveredCocycleData:
 
 def restrict_cocycle_to_cover(G, A, phi, cover):
     """Index a single global 2-cochain by every admissible triple of a cover."""
-    cover = tuple(frozenset(s) for s in cover)
-    values = {}
+    data = CoveredCocycleData(G, A, tuple(frozenset(s) for s in cover), {})
+    idx = data.indices_of
     for t, v in zip(G.nerve(2), phi.values):
         g, h = t.arrows
-        gh = G.compose(g, h)
-        for i, si in enumerate(cover):
-            if g not in si:
-                continue
-            for j, sj in enumerate(cover):
-                if gh not in sj:
-                    continue
-                for k, sk in enumerate(cover):
-                    if h not in sk:
-                        continue
-                    values.setdefault((i, j, k), {})[(g, h)] = v
-    return CoveredCocycleData(G, A, cover, values)
+        for key in itertools.product(idx[g], idx[G.comp[g, h]], idx[h]):
+            data.values.setdefault(key, {})[(g, h)] = v
+    return data
 
 
 @dataclass
@@ -549,66 +534,40 @@ def verify_psi_coherence(data):
     (a, g, k) ~ (a + psi_{kj}(g), g, j) an equivalence relation.
 
     Also re-checks the covered cocycle identity; any violation is reported
-    with its witnessing indices.
+    with its witnessing indices. Indices are read from `data.indices_of`.
     """
     G, A = data.base, data.module
+    idx = data.indices_of
     fails = []
-    # covered cocycle identity over every admissible index combination
+    # covered cocycle identity at the indices of g, gh, ghk, h, hk, k: the
+    # edges 01, 02, 03, 12, 13, 23 of the simplex (g, h, k), in slot order
     for t in G.nerve(3):
         g, h, k = t.arrows
         fib = A.fiber(G.tgt[g])
-        gh, hk = G.compose(g, h), G.compose(h, k)
-        ghk = G.compose(gh, k)
-        for l01, s01 in enumerate(data.cover):
-            if g not in s01:
-                continue
-            for l02, s02 in enumerate(data.cover):
-                if gh not in s02:
-                    continue
-                for l03, s03 in enumerate(data.cover):
-                    if ghk not in s03:
-                        continue
-                    for l12, s12 in enumerate(data.cover):
-                        if h not in s12:
-                            continue
-                        for l13, s13 in enumerate(data.cover):
-                            if hk not in s13:
-                                continue
-                            for l23, s23 in enumerate(data.cover):
-                                if k not in s23:
-                                    continue
-                                total = A.act(g, data.value(l12, l13, l23, h, k))
-                                total = fib.sub(total, data.value(l02, l03, l23, gh, k))
-                                total = fib.add(total, data.value(l01, l03, l13, g, hk))
-                                total = fib.sub(total, data.value(l01, l02, l12, g, h))
-                                if any(total):
-                                    fails.append(
-                                        "cocycle identity fails at arrows "
-                                        f"({g},{h},{k}) indices ({l01},{l02},{l03},{l12},{l13},{l23})")
+        gh, hk = G.comp[g, h], G.comp[h, k]
+        ghk = G.comp[gh, k]
+        for l01, l02, l03, l12, l13, l23 in itertools.product(
+                idx[g], idx[gh], idx[ghk], idx[h], idx[hk], idx[k]):
+            total = A.act(g, data.value(l12, l13, l23, h, k))
+            total = fib.sub(total, data.value(l02, l03, l23, gh, k))
+            total = fib.add(total, data.value(l01, l03, l13, g, hk))
+            total = fib.sub(total, data.value(l01, l02, l12, g, h))
+            if any(total):
+                fails.append(
+                    "cocycle identity fails at arrows "
+                    f"({g},{h},{k}) indices ({l01},{l02},{l03},{l12},{l13},{l23})")
     # psi well-defined independently of i
     psi = {}
     for g in G.arrows():
         x = G.tgt[g]
         e = G.unit[x]
         fib = A.fiber(x)
-        for j, sj in enumerate(data.cover):
-            if g not in sj:
-                continue
-            for k, sk in enumerate(data.cover):
-                if g not in sk:
-                    continue
-                vals = set()
-                for i, si in enumerate(data.cover):
-                    if e not in si:
-                        continue
-                    v = fib.sub(data.value(i, j, k, e, g), data.value(i, i, i, e, e))
-                    vals.add(v)
-                if not vals:
-                    fails.append(f"no admissible index i for psi at arrow {g}")
-                    continue
-                if len(vals) > 1:
-                    fails.append(f"psi_{{{k}{j}}}({g}) depends on the choice of i")
-                psi[(k, j, g)] = sorted(vals)[0]
+        for j, k in itertools.product(idx[g], repeat=2):
+            vals = {fib.sub(data.value(i, j, k, e, g), data.value(i, i, i, e, e))
+                    for i in idx[e]}
+            if len(vals) > 1:
+                fails.append(f"psi_{{{k}{j}}}({g}) depends on the choice of i")
+            psi[(k, j, g)] = min(vals)
     # psi identities
     for (k, j, g), v in psi.items():
         fib = A.fiber(G.tgt[g])
@@ -618,14 +577,11 @@ def verify_psi_coherence(data):
             fails.append(f"psi_{{{k}{j}}}({g}) != -psi_{{{j}{k}}}({g})")
     for g in G.arrows():
         fib = A.fiber(G.tgt[g])
-        idxs = [j for j, s in enumerate(data.cover) if g in s]
-        for j in idxs:
-            for k in idxs:
-                for m in idxs:
-                    # psi_{jk} - psi_{mk} + psi_{mj} = 0
-                    lhs = fib.add(fib.sub(psi[(j, k, g)], psi[(m, k, g)]), psi[(m, j, g)])
-                    if any(lhs):
-                        fails.append(f"psi cocycle relation fails at ({j},{k},{m}), arrow {g}")
+        for j, k, m in itertools.product(idx[g], repeat=3):
+            # psi_{jk} - psi_{mk} + psi_{mj} = 0
+            lhs = fib.add(fib.sub(psi[(j, k, g)], psi[(m, k, g)]), psi[(m, j, g)])
+            if any(lhs):
+                fails.append(f"psi cocycle relation fails at ({j},{k},{m}), arrow {g}")
     return PsiReport(not fails, fails, psi)
 
 
@@ -647,7 +603,7 @@ def extension_from_covered_cocycle(data):
     report = verify_psi_coherence(data)
     if not report.ok:
         raise NotACocycleError("; ".join(report.failures[:3]))
-    first = [next(j for j, s in enumerate(data.cover) if g in s) for g in G.arrows()]
+    first = [data.indices_of[g][0] for g in G.arrows()]
     values = [data.value(first[g], first[G.comp[g, h]], first[h], g, h)
               for g, h in (t.arrows for t in G.nerve(2))]
     return extension_from_cocycle(G, A, make_cochain(G, A, 2, values))

@@ -106,6 +106,17 @@ def _parse_sets(text, line_no, universe=None, what="object"):
     return sets
 
 
+def _int_arg(word, line_no, what, least=None):
+    """An integer task argument, at least `least` when that is given."""
+    try:
+        value = int(word)
+    except ValueError:
+        raise DocumentError(line_no, f"{what} must be an integer, got {word!r}") from None
+    if least is not None and value < least:
+        raise DocumentError(line_no, f"{what} must be at least {least}, got {value}")
+    return value
+
+
 def _build_groupoid(args, line_no):
     words = args.split()
     kind = words[0] if words else ""
@@ -269,6 +280,8 @@ def parse(text):
             name, _, mat = args.partition(" ")
             try:
                 rows = json.loads(mat)
+                if any(type(v) is not int for row in rows for v in row):
+                    raise ValueError("entries must be JSON integers")
                 matrix = IntegerMatrix.from_rows(rows)
             except (json.JSONDecodeError, TypeError, ValueError) as exc:
                 raise DocumentError(raw_no, f"bad action matrix: {exc}")
@@ -374,7 +387,9 @@ def run(doc, budget=None, max_degree=3, seed=0):
     G, A = doc.groupoid, doc.module
     classes_cache = {}
 
-    def get_classes():
+    def get_classes(line_no):
+        if not A.all_fibers_finite:
+            raise DocumentError(line_no, "finite coefficient fibers required")
         if "c" not in classes_cache:
             classes_cache["c"] = ext_classes(G, A)
         return classes_cache["c"]
@@ -397,7 +412,8 @@ def run(doc, budget=None, max_degree=3, seed=0):
             elif name == "cohomology":
                 span = words[1] if len(words) > 1 else f"0..{max_degree}"
                 lo, _, hi = span.partition("..")
-                lo, hi = int(lo), int(hi or lo)
+                lo = _int_arg(lo, line_no, "lowest degree", 0)
+                hi = _int_arg(hi, line_no, "highest degree", lo) if hi else lo
                 if hi > max_degree:
                     raise DocumentError(line_no,
                                         f"degree {hi} above --max-degree {max_degree}")
@@ -407,7 +423,7 @@ def run(doc, budget=None, max_degree=3, seed=0):
                                           {"degrees": {str(n): _factors_dict(f)
                                                        for n, f in groups.items()}}))
             elif name == "ext":
-                cls = get_classes()
+                cls = get_classes(line_no)
                 lines = [f"{len(cls.classes)} classes, group {cls.factors}"]
                 data = {"group": _factors_dict(cls.factors), "classes": []}
                 for c in cls.classes:
@@ -420,7 +436,7 @@ def run(doc, budget=None, max_degree=3, seed=0):
                                             "extension": extension_to_dict(c.extension)})
                 results.append(TaskResult("ext", True, lines, data))
             elif name == "baer":
-                cls = get_classes()
+                cls = get_classes(line_no)
                 torsion = cls.factors.torsion
                 ok = True
                 checked = 0
@@ -439,7 +455,7 @@ def run(doc, budget=None, max_degree=3, seed=0):
                      f"{'pass' if ok else 'FAIL'}"],
                     {"pairs": checked, "ok": ok}))
             elif name == "strict-trivial":
-                cls = get_classes()
+                cls = get_classes(line_no)
                 ok = True
                 lines = []
                 recs = []
@@ -457,6 +473,10 @@ def run(doc, budget=None, max_degree=3, seed=0):
                 results.append(TaskResult("strict-trivial", ok, lines, {"classes": recs}))
             elif name == "morita":
                 sets = _parse_sets(" ".join(words[1:]), line_no, G.n_objects)
+                missing = sorted(set(G.objects()).difference(*sets))
+                if missing:
+                    raise DocumentError(
+                        line_no, f"family does not cover the objects; missing {missing}")
                 rep = morita_compare(G, A, sets, degrees=tuple(range(min(2, max_degree) + 1)),
                                      compare_ext=A.all_fibers_finite)
                 results.append(TaskResult("morita", rep.ok, rep.lines(),
@@ -467,8 +487,11 @@ def run(doc, budget=None, max_degree=3, seed=0):
                                            "ext_left": rep.ext_left,
                                            "ext_right": rep.ext_right}))
             elif name == "cech":
+                if len(words) < 2:
+                    raise DocumentError(line_no, "expected: cech maximal|single [DEGREE]")
                 style = words[1]
-                top = int(words[2]) if len(words) > 2 else min(2, max_degree)
+                top = (_int_arg(words[2], line_no, "cech degree", 0) if len(words) > 2
+                       else min(2, max_degree))
                 if top > max_degree:
                     raise DocumentError(line_no, f"degree {top} above --max-degree")
                 space = NerveSpace(G)
@@ -493,8 +516,8 @@ def run(doc, budget=None, max_degree=3, seed=0):
                                     "groupoid": _factors_dict(right)}
                 results.append(TaskResult("cech", ok, lines, {"style": style, "rows": rows}))
             elif name == "homotopy-check":
-                tseed = int(words[1]) if len(words) > 1 else seed
-                count = int(words[2]) if len(words) > 2 else 25
+                tseed = _int_arg(words[1], line_no, "seed") if len(words) > 1 else seed
+                count = _int_arg(words[2], line_no, "trial count", 1) if len(words) > 2 else 25
                 rep = run_homotopy_trials(tseed, count)
                 results.append(TaskResult("homotopy-check", rep.ok, [rep.summary()],
                                           {"count": len(rep.trials), "ok": rep.ok,

@@ -130,15 +130,16 @@ class FiniteGroupoid:
         self.inv = tuple(int(x) for x in inv)
         if len(self.inv) != n_arrows:
             raise StructureError("need one inverse per arrow")
-        table = {}
-        for (g, h), gh in comp.items():
-            table[(int(g), int(h))] = int(gh)
-        self.comp = table
         if any(not 0 <= x < self.n_objects for x in itertools.chain(self.src, self.tgt)):
             raise StructureError("src/tgt refer to unknown objects")
-        if any(not 0 <= a < n_arrows for a in
-               itertools.chain(self.unit, self.inv, table.values(),
-                               (g for g, _ in table), (h for _, h in table))):
+        unknown = any(not 0 <= a < n_arrows for a in itertools.chain(self.unit, self.inv))
+        table = self.comp = {}
+        for (g, h), gh in comp.items():
+            g, h, gh = int(g), int(h), int(gh)
+            if not (0 <= g < n_arrows and 0 <= h < n_arrows and 0 <= gh < n_arrows):
+                unknown = True
+            table[g, h] = gh
+        if unknown:
             raise StructureError("composition/unit/inverse tables refer to unknown arrows")
         self.object_labels = (tuple(object_labels) if object_labels is not None
                               else tuple(str(x) for x in range(self.n_objects)))
@@ -207,16 +208,9 @@ class FiniteGroupoid:
         return out
 
     def nerve_index(self, n):
-        """Position of each level-n tuple in the canonical enumeration."""
-        key = ("index", n)
-        if key not in self._nerve_cache:
-            self._nerve_cache[key] = {t: i for i, t in enumerate(self.nerve(n))}
-        return self._nerve_cache[key]
-
-    def tuple_index(self, n):
         """Position in nerve(n), n >= 1, of each composable tuple given as a
         plain tuple of arrow ids; the position of (g,) is g."""
-        key = ("tuples", n)
+        key = ("index", n)
         if key not in self._nerve_cache:
             self._nerve_cache[key] = {t.arrows: i for i, t in enumerate(self.nerve(n))}
         return self._nerve_cache[key]
@@ -228,7 +222,7 @@ class FiniteGroupoid:
         cochains; every coboundary of the groupoid complex reads this table.
         Faces are formed on plain arrow tuples: at level 0 they are the
         source and range objects, at level 1 arrow ids, and above that they
-        are looked up in `tuple_index`. `face` is the per-tuple definition.
+        are looked up in `nerve_index`. `face` is the per-tuple definition.
 
         >>> cyclic_group(2).face_table(1)
         [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
@@ -245,7 +239,7 @@ class FiniteGroupoid:
         chains = [t.arrows for t in self.nerve(n + 1)]
         if n == 1:
             return [(h, comp[g, h], g) for g, h in chains]
-        index = self.tuple_index(n)
+        index = self.nerve_index(n)
         inner = range(1, n + 1)
         return [(index[a[1:]],)
                 + tuple([index[a[:k - 1] + (comp[a[k - 1], a[k]],) + a[k + 1:]] for k in inner])
@@ -514,34 +508,40 @@ class CoverGroupoid:
     arrow_triples: tuple[tuple[int, int, int], ...]
 
 
+def memberships(n, sets):
+    """For each element 0, ..., n-1, the increasing indices of the sets that contain it."""
+    return tuple(tuple(i for i, s in enumerate(sets) if x in s) for x in range(n))
+
+
 def cover_groupoid(G, sets):
     """The cover groupoid G[U] of an indexed family of object subsets.
 
     Arrows are triples (i, g, j) with r(g) in U_i and s(g) in U_j; the product
-    is (i, g, j)(j, h, k) = (i, gh, k) and `canon` forgets the indices.
+    is (i, g, j)(j, h, k) = (i, gh, k) and `canon` forgets the indices. The
+    indices i, j, k are read from the `memberships` of the objects.
     """
     sets = [frozenset(int(x) for x in s) for s in sets]
     if any(not 0 <= x < G.n_objects for s in sets for x in s):
         raise StructureError("cover names unknown objects")
-    covered = set().union(*sets) if sets else set()
-    if covered != set(G.objects()):
-        missing = sorted(set(G.objects()) - covered)
+    pieces = memberships(G.n_objects, sets)
+    missing = [x for x in G.objects() if not pieces[x]]
+    if missing:
         raise ValueError(f"family does not cover the objects; missing {missing}")
 
-    objects = sorted((i, x) for i, s in enumerate(sets) for x in s)
+    objects = sorted((i, x) for x in G.objects() for i in pieces[x])
     oid = {p: n for n, p in enumerate(objects)}
-    arrows = sorted((i, g, j)
-                    for i, si in enumerate(sets) for j, sj in enumerate(sets)
-                    for g in G.arrows() if G.tgt[g] in si and G.src[g] in sj)
+    arrows = sorted((i, g, j) for g in G.arrows()
+                    for i in pieces[G.tgt[g]] for j in pieces[G.src[g]])
     aid = {t: n for n, t in enumerate(arrows)}
     src = [oid[(j, G.src[g])] for (i, g, j) in arrows]
     tgt = [oid[(i, G.tgt[g])] for (i, g, j) in arrows]
     unit = [aid[(i, G.unit[x], i)] for (i, x) in objects]
+    into = [[h for h in G.arrows() if G.tgt[h] == x] for x in G.objects()]
     comp = {}
-    for (i, g, j) in arrows:
-        for (j2, h, k) in arrows:
-            if j == j2 and G.is_composable(g, h):
-                comp[(aid[(i, g, j)], aid[(j2, h, k)])] = aid[(i, G.compose(g, h), k)]
+    for n, (i, g, j) in enumerate(arrows):
+        for h in into[G.src[g]]:
+            for k in pieces[G.src[h]]:
+                comp[n, aid[(j, h, k)]] = aid[(i, G.comp[g, h], k)]
     inv = [aid[(j, G.inv[g], i)] for (i, g, j) in arrows]
     labels = [f"({i},{G.arrow_labels[g]},{j})" for (i, g, j) in arrows]
     olabels = [f"({i},{G.object_labels[x]})" for (i, x) in objects]

@@ -10,12 +10,13 @@ factors-only H^2), so no side needs a representative cocycle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .cech import BudgetExceeded
 from .cohomology import cohomology
 from .gmodule import pullback_module
-from .groupoid import cover_groupoid
+from .groupoid import cover_groupoid, memberships
 
 
 @dataclass
@@ -106,21 +107,13 @@ class CoverNerveDescription:
 
 def cover_nerve_structure(G, sets, n):
     """Enumerate G[U]_n as index-decorated base tuples and cross-check the
-    count against the nerve of the cover groupoid itself."""
+    count against the nerve of the cover groupoid itself. The indices of a
+    tuple range over the `memberships` of its vertices."""
     sets = [frozenset(s) for s in sets]
     cg = cover_groupoid(G, sets)
+    pieces = memberships(G.n_objects, sets)
     out = []
-    if n == 0:
-        for i, s in enumerate(sets):
-            for x in sorted(s):
-                out.append((i, x))
-    else:
-        for t in G.nerve(n):
-            verts = G.vertices(t)
-            choices = [[i for i, s in enumerate(sets) if v in s] for v in verts]
-            stack = [()]
-            for opts in choices:
-                stack = [pre + (i,) for pre in stack for i in opts]
-            for idx in stack:
-                out.append(idx + t.arrows)
+    for t in G.nerve(n):
+        for idx in itertools.product(*(pieces[v] for v in G.vertices(t))):
+            out.append(idx + (t.arrows or (t.obj,)))
     return CoverNerveDescription(tuple(sorted(out)), len(cg.groupoid.nerve(n)))

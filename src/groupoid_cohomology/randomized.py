@@ -172,8 +172,8 @@ def random_refinement_pair(rng, space, fine, coarse, top):
     return (Refinement(coarse, fine, tuple(t0)), Refinement(coarse, fine, tuple(t1)))
 
 
-def _random_space_and_coeffs(rng, allow_nerve=True):
-    if allow_nerve and rng.random() < 0.5:
+def _random_space_and_coeffs(rng):
+    if rng.random() < 0.5:
         while True:
             G, A = random_instance(rng, max_arrows=6, allow_union=False)
             if A.all_fibers_finite:
@@ -223,23 +223,15 @@ class HomotopyReport:
         return f"homotopy identity trials: {'; '.join(parts)}"
 
 
-def run_homotopy_trials(seed, count, degrees=(1, 2), groupoid=None, module=None):
-    """Randomized checks of theta1* - theta0* = dH + Hd, exact per cell.
-
-    With a groupoid given, all trials run on its nerve; otherwise instances
-    mix nerves of random groupoids and constant spaces.
-    """
+def run_homotopy_trials(seed, count, degrees=(1, 2)):
+    """Randomized checks of theta1* - theta0* = dH + Hd, exact per cell, on
+    instances that mix nerves of random groupoids and constant spaces."""
     rng = random.Random(seed)
     report = HomotopyReport()
     while len(report.trials) < count:
         degree = degrees[len(report.trials) % len(degrees)]
-        if groupoid is not None:
-            space = NerveSpace(groupoid)
-            coeffs = ModuleCoefficients(module)
-            kind = "nerve"
-        else:
-            space, coeffs, G = _random_space_and_coeffs(rng)
-            kind = "nerve" if G is not None else "constant"
+        space, coeffs, G = _random_space_and_coeffs(rng)
+        kind = "nerve" if G is not None else "constant"
         top = degree + 1
         fine = _random_fine_cover(rng, space, top)
         coarse = random_coarsening(rng, space, fine, top)

@@ -434,6 +434,76 @@ def test_psi_detects_non_cocycle():
     assert any("indices" in f or "depends" in f for f in rep.failures)
 
 
+def _corrupted_restriction(cover, seed):
+    """The nonsplit C2 cocycle restricted to `cover`, with one indexed value,
+    drawn with the seed, moved by 1."""
+    phi, _ = nonsplit_extension()
+    data = restrict_cocycle_to_cover(C2, A22, phi, cover)
+    rng = random.Random(seed)
+    key = rng.choice(sorted(data.values))
+    pair = rng.choice(sorted(data.values[key]))
+    values = {k: dict(v) for k, v in data.values.items()}
+    values[key][pair] = Z2.add(values[key][pair], (1,))
+    return CoveredCocycleData(C2, A22, data.cover, values)
+
+
+def _identity_failures(*cases):
+    return [f"cocycle identity fails at arrows {arrows} indices {indices}"
+            for arrows, indices in (case.split() for case in cases)]
+
+
+# one corrupted value each; the failure lists fix the order in which the
+# cocycle identity, psi and its relations are checked
+PSI_FAILURES = [
+    ([{0, 1}, {1}], 9,
+     _identity_failures(
+         "(0,0,1) (0,0,0,0,1,1)", "(0,0,1) (0,0,1,0,0,1)", "(0,0,1) (0,0,1,0,1,0)",
+         "(0,0,1) (0,0,1,0,1,1)", "(0,1,0) (0,0,1,0,1,0)", "(0,1,0) (0,0,1,1,1,0)",
+         "(0,1,0) (0,1,0,1,0,0)", "(0,1,0) (0,1,0,1,1,0)", "(0,1,0) (0,1,1,0,1,0)",
+         "(0,1,0) (0,1,1,1,0,0)", "(0,1,1) (0,1,0,1,0,0)", "(0,1,1) (0,1,0,1,0,1)",
+         "(1,0,1) (0,0,0,0,1,1)", "(1,0,1) (0,1,0,0,1,1)", "(1,0,1) (1,0,0,0,1,1)",
+         "(1,0,1) (1,1,0,0,1,1)", "(1,1,1) (0,0,1,0,0,1)", "(1,1,1) (0,0,1,1,0,1)",
+         "(1,1,1) (1,0,1,0,0,1)", "(1,1,1) (1,0,1,1,0,1)")
+     + ["psi_{11}(1) != 0",
+        "psi cocycle relation fails at (0,1,1), arrow 1",
+        "psi cocycle relation fails at (1,0,1), arrow 1",
+        "psi cocycle relation fails at (1,1,0), arrow 1",
+        "psi cocycle relation fails at (1,1,1), arrow 1"],
+     [((0, 0, 0), (0,)), ((0, 0, 1), (0,)), ((1, 0, 1), (0,)), ((0, 1, 1), (0,)),
+      ((1, 1, 1), (1,))]),
+    ([{0, 1}, {0}], 5,
+     _identity_failures(
+         "(0,0,1) (0,0,0,1,0,0)", "(0,0,1) (0,1,0,0,0,0)", "(0,0,1) (1,0,0,0,0,0)",
+         "(0,0,1) (1,1,0,1,0,0)", "(0,1,1) (1,0,0,0,0,0)", "(0,1,1) (1,0,0,0,1,0)",
+         "(0,1,1) (1,0,1,0,0,0)", "(0,1,1) (1,0,1,0,1,0)", "(1,0,1) (0,0,0,1,0,0)",
+         "(1,0,1) (0,0,1,1,0,0)", "(1,1,1) (0,1,0,0,0,0)", "(1,1,1) (0,1,0,0,1,0)")
+     + ["psi_{00}(1) depends on the choice of i"],
+     [((0, 0, 0), (0,)), ((1, 0, 0), (0,)), ((0, 1, 0), (0,)), ((1, 1, 0), (0,)),
+      ((0, 0, 1), (0,))]),
+]
+
+
+@pytest.mark.parametrize("cover, seed, failures, psi", PSI_FAILURES)
+def test_psi_failures_on_a_corrupted_value(cover, seed, failures, psi):
+    rep = verify_psi_coherence(_corrupted_restriction(cover, seed))
+    assert not rep.ok
+    assert rep.failures == failures
+    assert list(rep.psi.items()) == psi
+    with pytest.raises(NotACocycleError) as exc:
+        extension_from_covered_cocycle(_corrupted_restriction(cover, seed))
+    assert str(exc.value) == "; ".join(failures[:3])
+
+
+def test_covered_data_must_cover_every_arrow():
+    phi, _ = nonsplit_extension()
+    # the unit is an arrow too: a cover without it is rejected
+    for cover in ([{1}], [{0}, set()], [{0, 1, 2}]):
+        with pytest.raises(ValueError, match="family must cover the arrows"):
+            CoveredCocycleData(C2, A22, tuple(map(frozenset, cover)), {})
+        with pytest.raises(ValueError, match="family must cover the arrows"):
+            restrict_cocycle_to_cover(C2, A22, phi, cover)
+
+
 # ---------------------------------------------------------------------------
 # torsors
 

@@ -58,6 +58,10 @@ def test_parse_table_is_pair_groupoid():
 def test_parse_diagnostics_carry_line_numbers():
     with pytest.raises(DocumentError, match="line 3"):
         parse("groupoid: cyclic 2\nmodule: constant 2\nnonsense: 1")
+    # action matrices hold JSON integers, not floats, booleans or strings
+    for matrix in ("[[1.5]]", "[[true]]", '[["1"]]', "[1]", "5"):
+        with pytest.raises(DocumentError, match="line 4: bad action matrix"):
+            parse(f"groupoid: cyclic 2\nmodule: fibers\nfiber: 0 3\naction: 1 {matrix}")
     with pytest.raises(DocumentError, match="unknown object"):
         parse("groupoid: table\nobject: x\narrow: f x y\nunit: x f\nmodule: constant 2")
     with pytest.raises(DocumentError, match="groupoid"):
@@ -115,11 +119,30 @@ def test_assertion_tasks_and_exit_codes(tmp_path):
     assert all(t["ok"] for t in payload["tasks"])
 
 
-def test_usage_exit_code(tmp_path):
+def test_usage_exit_code(tmp_path, capsys):
     path = tmp_path / "doc.gpd"
     path.write_text("groupoid: cyclic 2\nmodule: constant 2\ntask: zorp\n")
     assert main(["run", str(path)]) == 2
     assert main(["run", str(tmp_path / "missing.gpd")]) == 2
+    # bad task arguments, and input the library rejects, are usage errors
+    for module, task in [
+        ("constant 2", "cech"),
+        ("constant 2", "cech maximal x"),
+        ("constant 2", "cech maximal -1"),
+        ("constant 2", "cohomology -1..1"),
+        ("constant 2", "cohomology a..b"),
+        ("constant 2", "cohomology 2..1"),
+        ("constant 2", "homotopy-check x"),
+        ("constant 2", "homotopy-check 1 0"),
+        ("constant 2", "morita"),
+        ("constant 0", "ext"),
+        ("constant 0", "baer"),
+        ("constant 0", "strict-trivial"),
+    ]:
+        capsys.readouterr()
+        path.write_text(f"groupoid: cyclic 2\nmodule: {module}\ntask: {task}\n")
+        assert main(["run", str(path)]) == 2, task
+        assert capsys.readouterr().err.startswith("task error: line 3: "), task
 
 
 def test_failing_validation_exit_code(tmp_path):

@@ -7,6 +7,7 @@ from groupoid_cohomology.groupoid import (
     FiniteGroupoid,
     MonotoneMap,
     NerveTuple,
+    StructureError,
     action_groupoid,
     all_monotone_maps,
     all_strict_maps,
@@ -219,6 +220,30 @@ def test_cover_groupoid_trivial_and_partition():
     assert find_isomorphism(cg2.groupoid, U2) is not None
     with pytest.raises(ValueError):
         cover_groupoid(U2, [{0}])
+
+
+C2_TABLES = dict(n_objects=1, src=[0, 0], tgt=[0, 0], unit=[0],
+                 comp={(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, inv=[0, 1])
+UNKNOWN_OBJECTS = "src/tgt refer to unknown objects"
+UNKNOWN_ARROWS = "composition/unit/inverse tables refer to unknown arrows"
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"comp": {**C2_TABLES["comp"], (1, 2): 1}}, UNKNOWN_ARROWS),
+    ({"comp": {**C2_TABLES["comp"], (1, 1): 2}}, UNKNOWN_ARROWS),
+    ({"comp": {**C2_TABLES["comp"], (-1, 0): 1}}, UNKNOWN_ARROWS),
+    ({"unit": [-1]}, UNKNOWN_ARROWS),
+    ({"src": [0, 1]}, UNKNOWN_OBJECTS),
+    ({"tgt": [-1, 0]}, UNKNOWN_OBJECTS),
+    ({"unit": [2]}, UNKNOWN_ARROWS),
+    ({"inv": [0, 5]}, UNKNOWN_ARROWS),
+    # objects are checked before arrows
+    ({"src": [0, 1], "comp": {(0, 7): 0}}, UNKNOWN_OBJECTS),
+])
+def test_dangling_ids_raise_structure_error(changes, message):
+    with pytest.raises(StructureError) as exc:
+        FiniteGroupoid(**{**C2_TABLES, **changes})
+    assert str(exc.value) == message
 
 
 def test_action_groupoid_swap_is_pair():
