@@ -749,8 +749,9 @@ def homology_at(cx, n, with_generators=False):
     generator orders (_unit_eliminate), which keeps entries below the orders
     and leaves dense SNF only a small residual block; so does every question
     that needs no representative (Morita rows and ext counts, coboundary
-    witnesses). The generators still come from the dense path
-    (_kernel_lattice, solve_columns and a final SNF with its
+    witnesses). When those factors are trivial there is nothing to
+    represent and the generators are []. Otherwise they still come from the
+    dense path (_kernel_lattice, solve_columns and a final SNF with its
     transforms), the only caller of solve_columns: the representatives
     depend on the basis each elimination picks, and the extension and Baer
     tables of `classify` (and the CLI's --json output) are built from these
@@ -763,8 +764,11 @@ def homology_at(cx, n, with_generators=False):
     """
     if not 0 <= n < len(cx.groups):
         raise IndexError(f"degree {n} out of range")
+    factors = _homology_factors(cx, n)
     if not with_generators:
-        return _homology_factors(cx, n)
+        return factors
+    if factors.is_trivial:
+        return factors, []
     mid = cx.groups[n]
     K = _kernel_lattice(cx.map_out_of(n))  # columns generate the cocycle lattice in Z^b
     k = K.cols

@@ -25,6 +25,14 @@ Document format (one directive per line; '#' starts a comment):
     task: cech maximal 2            or: cech single 2
     task: homotopy-check 42 25      seed and trial count
 
+Everything is declared once: a second groupoid: or module: line, a repeated
+object: or arrow: name, a second compose: for a pair or unit: for an object,
+and a second fiber: or action: for one object or arrow (by label or id) are
+errors at the line of the repeat. Table lines name objects and arrows by their
+object:/arrow: names; fiber: and action: take a label or an id. A missing
+fiber, or no action on an arrow between unequal fibers, is an error at the
+module: fibers line.
+
 Exit codes: 0 all tasks pass, 1 an assertion task fails, 2 usage or parse
 error, 3 a size budget is exceeded. Structured output (--json) is
 deterministic: identical documents give byte-identical files.
@@ -37,7 +45,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .abelian import FinAbGroup, IntegerMatrix, AbHom
+from .abelian import AbHom, FinAbGroup, IntegerMatrix, ShapeError
 from .cech import (
     BudgetExceeded,
     Budget,
@@ -58,9 +66,8 @@ from .cohomology import cohomology, is_coboundary
 from .gmodule import GModule, constant_module, validate_module
 from .groupoid import (
     FiniteGroupoid,
-    StructureError,
-    action_groupoid,
     cover_groupoid,
+    cyclic_action_groupoid,
     cyclic_group,
     pair_groupoid,
     unit_groupoid,
@@ -84,24 +91,33 @@ class WorkspaceDocument:
 
 
 def _parse_orders(text, line_no):
+    text = text.strip()
     try:
         return FinAbGroup(tuple(int(p) for p in text.split(",") if p != ""))
     except ValueError as exc:
         raise DocumentError(line_no, f"bad fiber orders {text!r}: {exc}")
 
 
-def _parse_sets(text, line_no, universe=None, what="object"):
+def _parse_matrix(text, line_no):
+    try:
+        rows = json.loads(text)
+        if any(type(v) is not int for row in rows for v in row):
+            raise ValueError("entries must be JSON integers")
+        return IntegerMatrix.from_rows(rows)
+    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        raise DocumentError(line_no, f"bad action matrix: {exc}")
+
+
+def _parse_sets(text, line_no, universe):
     sets = []
     for part in text.split("|"):
-        ids = [p for p in part.replace(",", " ").split() if p]
         try:
-            ids = [int(p) for p in ids]
+            ids = [int(p) for p in part.replace(",", " ").split()]
         except ValueError:
-            raise DocumentError(line_no, f"bad {what} id in cover spec {part!r}")
-        if universe is not None:
-            for x in ids:
-                if not 0 <= x < universe:
-                    raise DocumentError(line_no, f"unknown {what} id {x}")
+            raise DocumentError(line_no, f"bad object id in cover spec {part!r}")
+        for x in ids:
+            if not 0 <= x < universe:
+                raise DocumentError(line_no, f"unknown object id {x}")
         sets.append(frozenset(ids))
     return sets
 
@@ -117,16 +133,15 @@ def _int_arg(word, line_no, what, least=None):
     return value
 
 
+_BUILDERS = {"cyclic": cyclic_group, "pair": pair_groupoid, "unit": unit_groupoid}
+
+
 def _build_groupoid(args, line_no):
     words = args.split()
     kind = words[0] if words else ""
     try:
-        if kind == "cyclic":
-            return cyclic_group(int(words[1]))
-        if kind == "pair":
-            return pair_groupoid(int(words[1]))
-        if kind == "unit":
-            return unit_groupoid(int(words[1]))
+        if kind in _BUILDERS:
+            return _BUILDERS[kind](int(words[1]))
         if kind == "action":
             # action N on M perm p_0 ... p_{M-1}
             n, m = int(words[1]), int(words[3])
@@ -135,15 +150,7 @@ def _build_groupoid(args, line_no):
             perm = [int(w) for w in words[5:]]
             if sorted(perm) != list(range(m)):
                 raise DocumentError(line_no, "perm must be a permutation of 0..M-1")
-            C = cyclic_group(n)
-            act = {}
-            for k in range(n):
-                for z in range(m):
-                    w = z
-                    for _ in range(k):
-                        w = perm[w]
-                    act[(k, z)] = w
-            return action_groupoid(C, m, [0] * m, act)
+            return cyclic_action_groupoid(n, perm)
         if kind == "cover":
             inner = _build_groupoid(" ".join(words[1:words.index("sets")]), line_no)
             spec = " ".join(words[words.index("sets") + 1:])
@@ -156,181 +163,160 @@ def _build_groupoid(args, line_no):
     raise DocumentError(line_no, f"unknown groupoid builder {kind!r}")
 
 
+# The words after each groupoid-table directive; the first `named` of them
+# name what the line declares, and a second line declaring it is an error.
+_TABLE_USAGE = {"object": ("NAME", 1), "arrow": ("NAME RANGE SOURCE", 1),
+                "compose": ("F G H", 2), "unit": ("OBJECT ARROW", 1)}
+
+
+def _declare(seen, key, line_no):
+    """Note the line where `key`, a directive and its names, is first declared."""
+    if key in seen:
+        what = " ".join([key[0], *map(repr, key[1:])])
+        raise DocumentError(line_no, f"repeated {what}, first at line {seen[key]}")
+    seen[key] = line_no
+
+
+def _lookup(ids, name, line_no, owner, what, count=0):
+    """The id of `name`: its entry in `ids`, else a decimal id below `count`."""
+    if name in ids:
+        return ids[name]
+    if name.isdecimal() and int(name) < count:
+        return int(name)
+    raise DocumentError(line_no, f"{owner} names unknown {what} {name!r}")
+
+
+def _table_groupoid(table, line_no):
+    """The groupoid of an explicit table that ends at line `line_no`."""
+    oid = {words[0]: i for i, (words, _) in enumerate(table["object"])}
+    aid = {words[0]: i for i, (words, _) in enumerate(table["arrow"])}
+    src, tgt = [], []
+    for (name, rng_obj, src_obj), ln in table["arrow"]:
+        tgt.append(_lookup(oid, rng_obj, ln, f"arrow {name!r}", "object"))
+        src.append(_lookup(oid, src_obj, ln, f"arrow {name!r}", "object"))
+    comp = {}
+    for words, ln in table["compose"]:
+        f, g, h = [_lookup(aid, w, ln, "compose", "arrow") for w in words]
+        comp[f, g] = h
+    unit = [None] * len(oid)
+    for (x, f), ln in table["unit"]:
+        x = _lookup(oid, x, ln, "unit", "object")
+        unit[x] = _lookup(aid, f, ln, "unit", "arrow")
+    missing = [o for o, i in oid.items() if unit[i] is None]
+    if missing:
+        raise DocumentError(line_no, f"missing unit for objects {missing}")
+    inv = [None] * len(aid)
+    for g in range(len(aid)):
+        for h in range(len(aid)):
+            if comp.get((g, h)) == unit[tgt[g]] and comp.get((h, g)) == unit[src[g]]:
+                inv[g] = h
+                break
+    if None in inv:
+        raise DocumentError(line_no, "some arrow has no inverse in the table")
+    return FiniteGroupoid(len(oid), src, tgt, unit, comp, inv,
+                          object_labels=list(oid), arrow_labels=list(aid))
+
+
+def _fibers_module(G, entries, line_no):
+    """The module of the `fiber:` and `action:` lines after `module: fibers`
+    at line `line_no`; an arrow between equal fibers acts by the identity."""
+    seen = {}
+    oid = {label: i for i, label in enumerate(G.object_labels)}
+    fibers = [None] * G.n_objects
+    for name, group, ln in entries["fiber"]:
+        x = _lookup(oid, name, ln, "fiber", "object", G.n_objects)
+        _declare(seen, ("fiber", G.object_labels[x]), ln)
+        fibers[x] = group
+    if None in fibers:
+        raise DocumentError(line_no, "need a fiber for every object")
+    aid = {label: i for i, label in enumerate(G.arrow_labels)}
+    actions = [None] * G.n_arrows
+    for name, matrix, ln in entries["action"]:
+        g = _lookup(aid, name, ln, "action", "arrow", G.n_arrows)
+        _declare(seen, ("action", G.arrow_labels[g]), ln)
+        try:
+            actions[g] = AbHom(fibers[G.src[g]], fibers[G.tgt[g]], matrix)
+        except ShapeError as exc:
+            raise DocumentError(ln, f"action matrix shape: {exc}")
+    for g in G.arrows():
+        if actions[g] is None:
+            sf, tf = fibers[G.src[g]], fibers[G.tgt[g]]
+            if sf.orders != tf.orders:
+                raise DocumentError(line_no, f"missing action for arrow {G.arrow_labels[g]!r}")
+            actions[g] = AbHom.identity(sf)
+    return GModule(G, tuple(fibers), tuple(actions))
+
+
+_FIBER_VALUES = {"fiber": _parse_orders, "action": _parse_matrix}
+
+
 def parse(text):
     """Parse a workspace document; diagnostics carry line numbers."""
-    groupoid = None
-    module_mode = None
-    module = None
-    constant_group = None
-    tasks = []
-    table = None  # explicit groupoid under construction
-    fibers = {}
-    actions = {}
+    groupoid = table = fibers_at = None
+    constant = FinAbGroup(())
+    seen, tasks = {}, []
+    entries = {key: [] for key in _FIBER_VALUES}
 
-    def finish_groupoid(line_no):
+    def finish(line_no):
         nonlocal groupoid, table
-        if groupoid is not None:
-            return
-        if table is None:
-            raise DocumentError(line_no, "no groupoid declared yet")
-        objects, arrows, compose, units = table
-        oid = {name: i for i, name in enumerate(objects)}
-        aid = {name: i for i, name in enumerate(arrows)}
-        src, tgt = [0] * len(arrows), [0] * len(arrows)
-        for name, (rng_obj, src_obj, ln) in arrows.items():
-            if rng_obj not in oid:
-                raise DocumentError(ln, f"arrow {name!r} names unknown object {rng_obj!r}")
-            if src_obj not in oid:
-                raise DocumentError(ln, f"arrow {name!r} names unknown object {src_obj!r}")
-            tgt[aid[name]] = oid[rng_obj]
-            src[aid[name]] = oid[src_obj]
-        comp = {}
-        for (f, g, h, ln) in compose:
-            for nm in (f, g, h):
-                if nm not in aid:
-                    raise DocumentError(ln, f"compose names unknown arrow {nm!r}")
-            comp[(aid[f], aid[g])] = aid[h]
-        unit = [None] * len(objects)
-        for (x, f, ln) in units:
-            if x not in oid:
-                raise DocumentError(ln, f"unit names unknown object {x!r}")
-            if f not in aid:
-                raise DocumentError(ln, f"unit names unknown arrow {f!r}")
-            unit[oid[x]] = aid[f]
-        if any(u is None for u in unit):
-            missing = [o for o, i in oid.items() if unit[i] is None]
-            raise DocumentError(line_no, f"missing unit for objects {missing}")
-        inv = [None] * len(arrows)
-        for g in range(len(arrows)):
-            for h in range(len(arrows)):
-                if comp.get((g, h)) == unit[tgt[g]] and comp.get((h, g)) == unit[src[g]]:
-                    inv[g] = h
-                    break
-        if any(v is None for v in inv):
-            raise DocumentError(line_no, "some arrow has no inverse in the table")
-        groupoid = FiniteGroupoid(len(objects), src, tgt, unit, comp, inv,
-                                  object_labels=list(objects),
-                                  arrow_labels=list(arrows))
-        table = None
-        return
+        if groupoid is None:
+            if table is None:
+                raise DocumentError(line_no, "no groupoid declared yet")
+            groupoid, table = _table_groupoid(table, line_no), None
 
     lines = text.splitlines()
-    for raw_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if ":" not in line:
-            raise DocumentError(raw_no, f"expected 'key: value', got {line!r}")
+            raise DocumentError(line_no, f"expected 'key: value', got {line!r}")
         key, _, args = line.partition(":")
         key, args = key.strip(), args.strip()
 
+        if key in ("groupoid", "module"):
+            _declare(seen, (key,), line_no)
         if key == "groupoid":
             if args == "table":
-                table = ({}, {}, [], [])  # objects, arrows, compose, units
+                table = {directive: [] for directive in _TABLE_USAGE}
             else:
-                try:
-                    groupoid = _build_groupoid(args, raw_no)
-                except (StructureError, ValueError) as exc:
-                    if isinstance(exc, DocumentError):
-                        raise
-                    raise DocumentError(raw_no, str(exc))
-        elif key == "object":
+                groupoid = _build_groupoid(args, line_no)
+        elif key in _TABLE_USAGE:
             if table is None:
-                raise DocumentError(raw_no, "object: outside a groupoid table")
-            table[0][args] = len(table[0])
-        elif key == "arrow":
-            if table is None:
-                raise DocumentError(raw_no, "arrow: outside a groupoid table")
-            parts = args.split()
-            if len(parts) != 3:
-                raise DocumentError(raw_no, "expected: arrow: NAME RANGE SOURCE")
-            name, rng_obj, src_obj = parts
-            table[1][name] = (rng_obj, src_obj, raw_no)
-        elif key == "compose":
-            if table is None:
-                raise DocumentError(raw_no, "compose: outside a groupoid table")
-            parts = args.split()
-            if len(parts) != 3:
-                raise DocumentError(raw_no, "expected: compose: F G H")
-            table[2].append((*parts, raw_no))
-        elif key == "unit":
-            if table is None:
-                raise DocumentError(raw_no, "unit: outside a groupoid table")
-            parts = args.split()
-            if len(parts) != 2:
-                raise DocumentError(raw_no, "expected: unit: OBJECT ARROW")
-            table[3].append((*parts, raw_no))
+                raise DocumentError(line_no, f"{key}: outside a groupoid table")
+            usage, named = _TABLE_USAGE[key]
+            words = args.split()
+            if len(words) != len(usage.split()):
+                raise DocumentError(line_no, f"expected: {key}: {usage}")
+            _declare(seen, (key, *words[:named]), line_no)
+            table[key].append((words, line_no))
         elif key == "module":
-            finish_groupoid(raw_no)
+            finish(line_no)
             if args.startswith("constant"):
-                constant_group = _parse_orders(args[len("constant"):].strip(), raw_no)
-                module_mode = "constant"
+                constant = _parse_orders(args[len("constant"):], line_no)
             elif args == "fibers":
-                module_mode = "fibers"
+                fibers_at = line_no
             else:
-                raise DocumentError(raw_no, f"unknown module spec {args!r}")
-        elif key == "fiber":
-            if module_mode != "fibers":
-                raise DocumentError(raw_no, "fiber: outside 'module: fibers'")
-            name, _, orders = args.partition(" ")
-            fibers[(name.strip(), raw_no)] = _parse_orders(orders.strip(), raw_no)
-        elif key == "action":
-            if module_mode != "fibers":
-                raise DocumentError(raw_no, "action: outside 'module: fibers'")
-            name, _, mat = args.partition(" ")
-            try:
-                rows = json.loads(mat)
-                if any(type(v) is not int for row in rows for v in row):
-                    raise ValueError("entries must be JSON integers")
-                matrix = IntegerMatrix.from_rows(rows)
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                raise DocumentError(raw_no, f"bad action matrix: {exc}")
-            actions[(name.strip(), raw_no)] = matrix
+                raise DocumentError(line_no, f"unknown module spec {args!r}")
+        elif key in _FIBER_VALUES:
+            if fibers_at is None:
+                raise DocumentError(line_no, f"{key}: outside 'module: fibers'")
+            name, _, value = args.partition(" ")
+            entries[key].append((name.strip(), _FIBER_VALUES[key](value, line_no), line_no))
         elif key == "task":
-            finish_groupoid(raw_no)
-            tasks.append((args, raw_no))
+            finish(line_no)
+            tasks.append((args, line_no))
         else:
-            raise DocumentError(raw_no, f"unknown field {key!r}")
+            raise DocumentError(line_no, f"unknown field {key!r}")
 
-    if groupoid is None and table is not None:
-        finish_groupoid(len(lines))
+    if table is not None:
+        finish(len(lines))
     if groupoid is None:
         raise DocumentError(len(lines) or 1, "document declares no groupoid")
-
-    if module_mode == "constant":
-        module = constant_module(groupoid, constant_group)
-    elif module_mode == "fibers":
-        by_obj = {}
-        labels = {lbl: i for i, lbl in enumerate(groupoid.object_labels)}
-        for (name, ln), grp in fibers.items():
-            if name not in labels and not (name.isdigit() and int(name) < groupoid.n_objects):
-                raise DocumentError(ln, f"fiber names unknown object {name!r}")
-            by_obj[labels.get(name, int(name) if name.isdigit() else -1)] = grp
-        if set(by_obj) != set(groupoid.objects()):
-            raise DocumentError(1, "need a fiber for every object")
-        fiber_list = tuple(by_obj[x] for x in groupoid.objects())
-        alabel = {lbl: i for i, lbl in enumerate(groupoid.arrow_labels)}
-        act_list = [None] * groupoid.n_arrows
-        for (name, ln), mat in actions.items():
-            idx = alabel.get(name, int(name) if name.isdigit() else None)
-            if idx is None or not 0 <= idx < groupoid.n_arrows:
-                raise DocumentError(ln, f"action names unknown arrow {name!r}")
-            src_f = fiber_list[groupoid.src[idx]]
-            tgt_f = fiber_list[groupoid.tgt[idx]]
-            try:
-                act_list[idx] = AbHom(src_f, tgt_f, mat)
-            except Exception as exc:
-                raise DocumentError(ln, f"action matrix shape: {exc}")
-        for g in groupoid.arrows():
-            if act_list[g] is None:
-                sf, tf = fiber_list[groupoid.src[g]], fiber_list[groupoid.tgt[g]]
-                if sf.orders != tf.orders:
-                    raise DocumentError(1, f"missing action for arrow {g}")
-                act_list[g] = AbHom.identity(sf)
-        module = GModule(groupoid, fiber_list, tuple(act_list))
+    if fibers_at is not None:
+        module = _fibers_module(groupoid, entries, fibers_at)
     else:
-        module = constant_module(groupoid, FinAbGroup(()))
-
+        module = constant_module(groupoid, constant)
     return WorkspaceDocument(groupoid, module, tasks)
 
 
@@ -559,9 +545,12 @@ def main(argv=None):
         if verb == "homotopy-check":
             p.add_argument("--count", type=int, default=25)
     args = parser.parse_args(argv)
+    if args.budget is not None and args.budget < 1:
+        parser.error(f"--budget must be at least 1, got {args.budget}")
 
     try:
-        text = open(args.document, encoding="utf-8").read()
+        with open(args.document, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -589,7 +578,7 @@ def main(argv=None):
         doc.tasks = [(f"homotopy-check {args.seed} {args.count}", 0)]
 
     budget = Budget()
-    if args.budget:
+    if args.budget is not None:
         budget = Budget(max_candidates=args.budget, max_per_point=args.budget,
                         max_cells=args.budget)
     try:

@@ -218,8 +218,9 @@ class FiniteGroupoid:
     def face_table(self, n):
         """For each level-(n+1) tuple, the positions in nerve(n) of its n+2 faces.
 
-        This is the only place faces of nerve tuples are computed for
-        cochains; every coboundary of the groupoid complex reads this table.
+        Every coboundary of the groupoid complex reads this table; the Cech
+        complexes of a `NerveSpace` take their faces through `simplicial_map`
+        instead (`cech.cell_faces`).
         Faces are formed on plain arrow tuples: at level 0 they are the
         source and range objects, at level 1 arrow ids, and above that they
         are looked up in `nerve_index`. `face` is the per-tuple definition.
@@ -477,6 +478,17 @@ def action_groupoid(G, n_points, anchor, act):
     inv = [aid[(G.inv[g], act[(g, z)])] for (g, z) in pairs]
     labels = [f"({G.arrow_labels[g]},{z})" for (g, z) in pairs]
     return FiniteGroupoid(n_points, src, tgt, unit, comp, inv, arrow_labels=labels)
+
+
+def cyclic_action_groupoid(n, perm):
+    """The crossed product of C_n acting on the points 0..len(perm)-1, its
+    generator by the permutation `perm` (so g^k sends z to perm^k(z))."""
+    m = len(perm)
+    act, images = {}, list(range(m))
+    for k in range(n):
+        act.update(((k, z), w) for z, w in enumerate(images))
+        images = [perm[w] for w in images]
+    return action_groupoid(cyclic_group(n), m, [0] * m, act)
 
 
 def disjoint_union(G1, G2):

@@ -33,8 +33,8 @@ from .cech import (
 )
 from .gmodule import GModule, constant_module, disjoint_union_module, pullback_module
 from .groupoid import (
-    action_groupoid,
     cover_groupoid,
+    cyclic_action_groupoid,
     cyclic_group,
     disjoint_union,
     pair_groupoid,
@@ -68,20 +68,12 @@ def _twisted_cyclic_module(rng, n, allow_infinite):
 def _random_action_groupoid(rng):
     n = rng.choice((2, 3))
     m = rng.choice((2, 3))
-    C = cyclic_group(n)
     # a permutation of order dividing n: rotate a block whose length divides n
     block = [l for l in (1, n) if l <= m]
     length = rng.choice(block)
     perm = list(range(m))
     perm[:length] = perm[1:length] + perm[:1]
-    act = {}
-    for k in range(n):
-        for z in range(m):
-            w = z
-            for _ in range(k):
-                w = perm[w]
-            act[(k, z)] = w
-    return action_groupoid(C, m, [0] * m, act)
+    return cyclic_action_groupoid(n, perm)
 
 
 def random_instance(rng, max_arrows=12, allow_infinite=False, allow_union=True,

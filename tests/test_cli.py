@@ -68,6 +68,155 @@ def test_parse_diagnostics_carry_line_numbers():
         parse("module: constant 2")
 
 
+C2 = "groupoid: cyclic 2\n"
+FIBERS = C2 + "module: fibers\n"
+TWO_OBJECTS = """\
+groupoid: table
+object: x
+object: y
+arrow: e x x
+arrow: g x x
+arrow: u y y
+compose: e e e
+compose: e g g
+compose: g e g
+compose: g g e
+compose: u u u
+unit: x e
+unit: y u
+"""
+BAD_INT = "invalid literal for int() with base 10: 'x'"
+
+# Every diagnostic of `parse` and its groupoid builders, with its exact line.
+DIAGNOSTICS = [
+    ("nonsense", "line 1: expected 'key: value', got 'nonsense'"),
+    (C2 + "colour: red", "line 2: unknown field 'colour'"),
+    # builders
+    ("groupoid: cyclic", "line 1: bad groupoid builder 'cyclic': list index out of range"),
+    ("groupoid: cyclic x", f"line 1: bad groupoid builder 'cyclic x': {BAD_INT}"),
+    ("groupoid: cyclic 0", "line 1: bad groupoid builder 'cyclic 0': order must be >= 1"),
+    ("groupoid: pair 0", "line 1: bad groupoid builder 'pair 0': need at least one object"),
+    ("groupoid: unit 0", "line 1: bad groupoid builder 'unit 0': need at least one object"),
+    ("groupoid: torus 2", "line 1: unknown groupoid builder 'torus'"),
+    ("groupoid:", "line 1: unknown groupoid builder ''"),
+    ("groupoid: action 2 at 2 perm 1 0", "line 1: expected: action N on M perm ..."),
+    ("groupoid: action 2 on",
+     "line 1: bad groupoid builder 'action 2 on': list index out of range"),
+    ("groupoid: action 2 on 2 perm 0 0", "line 1: perm must be a permutation of 0..M-1"),
+    ("groupoid: action 2 on 2 perm 1 x",
+     f"line 1: bad groupoid builder 'action 2 on 2 perm 1 x': {BAD_INT}"),
+    ("groupoid: action 2 on 3 perm 1 2 0",
+     "line 1: bad groupoid builder 'action 2 on 3 perm 1 2 0': axiom (gh)z = g(hz) violated"),
+    ("groupoid: cover cyclic 2",
+     "line 1: bad groupoid builder 'cover cyclic 2': 'sets' is not in list"),
+    ("groupoid: cover cyclic 2 sets 0|x", "line 1: bad object id in cover spec 'x'"),
+    ("groupoid: cover cyclic 2 sets 0|1", "line 1: unknown object id 1"),
+    ("groupoid: cover cyclic 2 sets |", "line 1: bad groupoid builder 'cover cyclic 2 sets |': "
+     "family does not cover the objects; missing [0]"),
+    ("groupoid: cover torus 2 sets 0", "line 1: unknown groupoid builder 'torus'"),
+    # the table directives: outside a table, and with the wrong number of words
+    (C2 + "object: x", "line 2: object: outside a groupoid table"),
+    (C2 + "arrow: f x x", "line 2: arrow: outside a groupoid table"),
+    (C2 + "compose: f f f", "line 2: compose: outside a groupoid table"),
+    (C2 + "unit: x f", "line 2: unit: outside a groupoid table"),
+    ("groupoid: table\nobject: x\narrow: f x x\ncompose: f f f\nunit: x f\nmodule: constant 2\n"
+     "object: y", "line 7: object: outside a groupoid table"),
+    ("groupoid: table\nobject: x\narrow: f x", "line 3: expected: arrow: NAME RANGE SOURCE"),
+    ("groupoid: table\nobject: x\ncompose: f f", "line 3: expected: compose: F G H"),
+    ("groupoid: table\nobject: x\nunit: x f f", "line 3: expected: unit: OBJECT ARROW"),
+    # names in the table, checked arrows first, then compose, then unit
+    ("groupoid: table\nobject: x\narrow: f y x\nunit: x f\nmodule: constant 2",
+     "line 3: arrow 'f' names unknown object 'y'"),
+    ("groupoid: table\nobject: x\narrow: f x y\nunit: x f\nmodule: constant 2",
+     "line 3: arrow 'f' names unknown object 'y'"),
+    ("groupoid: table\nobject: x\narrow: f y z\narrow: g z x\nunit: x f\nmodule: constant 2",
+     "line 3: arrow 'f' names unknown object 'y'"),
+    ("groupoid: table\nobject: x\narrow: f x x\ncompose: f f k\nunit: q f\ntask: validate",
+     "line 4: compose names unknown arrow 'k'"),
+    ("groupoid: table\nobject: x\narrow: f x x\ncompose: k f f\ncompose: f j f\ntask: validate",
+     "line 4: compose names unknown arrow 'k'"),
+    ("groupoid: table\nobject: x\narrow: f x x\ncompose: f k f\ntask: validate",
+     "line 4: compose names unknown arrow 'k'"),
+    ("groupoid: table\nobject: x\narrow: f x x\ncompose: f f f\nunit: q k\ntask: validate",
+     "line 5: unit names unknown object 'q'"),
+    ("groupoid: table\nobject: x\narrow: f x x\ncompose: f f f\nunit: x k\ntask: validate",
+     "line 5: unit names unknown arrow 'k'"),
+    # units and inverses, reported where the table ends
+    ("groupoid: table\nobject: x\nobject: y\narrow: f x x\ncompose: f f f\nunit: x f\n"
+     "task: validate", "line 7: missing unit for objects ['y']"),
+    ("groupoid: table\nobject: x\nobject: y\nobject: z\narrow: f x x\ncompose: f f f\nunit: x f",
+     "line 7: missing unit for objects ['y', 'z']"),
+    ("groupoid: table\nobject: x\narrow: f x x", "line 3: missing unit for objects ['x']"),
+    ("groupoid: table\nobject: x\narrow: e x x\narrow: g x x\ncompose: e e e\nunit: x e\n"
+     "module: constant 2", "line 7: some arrow has no inverse in the table"),
+    # no groupoid, or a module or task before it
+    ("", "line 1: document declares no groupoid"),
+    ("# just a comment\n\n", "line 2: document declares no groupoid"),
+    ("module: constant 2", "line 1: no groupoid declared yet"),
+    ("task: validate", "line 1: no groupoid declared yet"),
+    # modules
+    (C2 + "module: free", "line 2: unknown module spec 'free'"),
+    (C2 + "module: constant x", f"line 2: bad fiber orders 'x': {BAD_INT}"),
+    (C2 + "module: constant -2", "line 2: bad fiber orders '-2': orders must be nonnegative"),
+    (C2 + "fiber: 0 2", "line 2: fiber: outside 'module: fibers'"),
+    (C2 + "action: 1 [[1]]", "line 2: action: outside 'module: fibers'"),
+    (C2 + "module: constant 2\nfiber: 0 2", "line 3: fiber: outside 'module: fibers'"),
+    (FIBERS + "fiber: 0 x", f"line 3: bad fiber orders 'x': {BAD_INT}"),
+    (FIBERS + "fiber: 0 3\naction: 1 [[1.5]]",
+     "line 4: bad action matrix: entries must be JSON integers"),
+    (FIBERS + "fiber: 0 3\naction: 1 [1]", "line 4: bad action matrix: 'int' object is not iterable"),
+    (FIBERS + "fiber: 0 3\naction: 1 [[1],[1,2]]", "line 4: bad action matrix: expected 2x1 entries"),
+    (FIBERS + "fiber: 0 3\naction: 1",
+     "line 4: bad action matrix: Expecting value: line 1 column 1 (char 0)"),
+    # fiber and action names, every fiber before any action
+    (FIBERS + "fiber: q 3", "line 3: fiber names unknown object 'q'"),
+    (FIBERS + "fiber: 1 3", "line 3: fiber names unknown object '1'"),
+    (FIBERS + "fiber: 0 3\naction: k [[1]]", "line 4: action names unknown arrow 'k'"),
+    (FIBERS + "fiber: 0 3\naction: 2 [[1]]", "line 4: action names unknown arrow '2'"),
+    # a digit that int() rejects is a name, not an id
+    (FIBERS + "fiber: \u00b2 3", "line 3: fiber names unknown object '\u00b2'"),
+    (FIBERS + "fiber: 0 3\naction: \u00b2 [[1]]", "line 4: action names unknown arrow '\u00b2'"),
+    (FIBERS + "fiber: 0 3\naction: k [[1]]\nfiber: q 3", "line 5: fiber names unknown object 'q'"),
+    (FIBERS + "fiber: 0 3\naction: 1 [[1, 0]]",
+     "line 4: action matrix shape: matrix is 1x2, expected 1x1"),
+    (FIBERS + "fiber: 0 3\naction: g [[1],[0]]",
+     "line 4: action matrix shape: matrix is 2x1, expected 1x1"),
+    (FIBERS + "fiber: 0 3\naction: 1 []", "line 4: action matrix shape: matrix is 0x0, expected 1x1"),
+    (TWO_OBJECTS + "module: fibers\nfiber: x 5\nfiber: y 2,2\n"
+     "action: u [[1, 0], [0, 1]]\naction: e [[1,2]]",
+     "line 18: action matrix shape: matrix is 1x2, expected 1x1"),
+    # every object needs a fiber, and arrows between unequal fibers an
+    # action, both reported at the 'module: fibers' line
+    (FIBERS + "task: validate", "line 2: need a fiber for every object"),
+    (TWO_OBJECTS + "module: fibers\nfiber: x 5\ntask: validate",
+     "line 14: need a fiber for every object"),
+    ("groupoid: pair 2\nmodule: fibers\nfiber: 0 2\nfiber: 1 3",
+     "line 2: missing action for arrow '(0<-1)'"),
+    # a name with a space can never be looked up
+    ("groupoid: table\nobject: a b", "line 2: expected: object: NAME"),
+    ("groupoid: table\nobject:", "line 2: expected: object: NAME"),
+    # a repeated declaration is an error at the line of the repeat
+    (C2 + "groupoid: cyclic 3", "line 2: repeated groupoid, first at line 1"),
+    (C2 + "groupoid: table\nobject: x", "line 2: repeated groupoid, first at line 1"),
+    (C2 + "module: constant 2\nmodule: constant 3", "line 3: repeated module, first at line 2"),
+    ("groupoid: table\nobject: x\nobject: x", "line 3: repeated object 'x', first at line 2"),
+    ("groupoid: table\nobject: x\narrow: f x x\narrow: f x x",
+     "line 4: repeated arrow 'f', first at line 3"),
+    (TWO_OBJECTS + "compose: g g g", "line 14: repeated compose 'g' 'g', first at line 10"),
+    (TWO_OBJECTS + "unit: x g", "line 14: repeated unit 'x', first at line 12"),
+    (FIBERS + "fiber: 0 3\nfiber: * 3", "line 4: repeated fiber '*', first at line 3"),
+    (FIBERS + "fiber: 0 3\naction: g [[2]]\naction: 1 [[2]]",
+     "line 5: repeated action 'g', first at line 4"),
+]
+
+
+@pytest.mark.parametrize("text, message", DIAGNOSTICS)
+def test_parse_diagnostic(text, message):
+    with pytest.raises(DocumentError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_run_golden_lines():
     results, code = run(parse(BUILDER_DOC))
     assert code == 0
@@ -169,6 +318,17 @@ def test_budget_exit_code(tmp_path):
     path.write_text("groupoid: cyclic 6\nmodule: constant 2\ntask: morita 0|0|0\n")
     code = main(["run", str(path)])
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_budget_below_one_is_a_usage_error(tmp_path, capsys, value):
+    path = tmp_path / "doc.gpd"
+    path.write_text("groupoid: cyclic 2\nmodule: constant 2\ntask: cech maximal 2\n")
+    with pytest.raises(SystemExit) as info:
+        main(["--budget", value, "run", str(path)])
+    assert info.value.code == 2
+    assert "--budget must be at least 1" in capsys.readouterr().err
+    assert main(["--budget", "1", "run", str(path)]) == 3
 
 
 def test_homotopy_check_task():

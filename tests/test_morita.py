@@ -7,7 +7,7 @@ from timing import time_limit
 from groupoid_cohomology import abelian
 from groupoid_cohomology.abelian import AbHom, FinAbGroup, IntegerMatrix
 from groupoid_cohomology.cech import BudgetExceeded
-from groupoid_cohomology.classify import ext_classes
+from groupoid_cohomology.classify import ext_classes, is_strictly_trivial
 from groupoid_cohomology.cli import parse, run
 from groupoid_cohomology.cohomology import (
     cochain_group,
@@ -166,6 +166,19 @@ def test_two_fiber_ext_counts():
     with time_limit(5):
         rep = morita_compare(G, A, [{1}, {0, 1}], compare_ext=True)
     assert rep.ok and rep.ext_left == rep.ext_right == 1
+
+
+def test_two_fiber_cover_ext_classes():
+    # H^2 of the cover groupoid is trivial, so ext_classes needs no
+    # representative cocycle and never enters the dense generator path
+    cover = cover_groupoid(TWO_FIBER.groupoid, [{1}, {0, 1}])
+    B = pullback_module(cover.canon, TWO_FIBER.module)
+    assert cover.groupoid.n_arrows == 6
+    with time_limit(1):
+        cls = ext_classes(cover.groupoid, B)
+    assert cls.factors.is_trivial
+    (only,) = cls.classes
+    assert is_strictly_trivial(only.extension) is not None
 
 
 def _counting(monkeypatch, name):
