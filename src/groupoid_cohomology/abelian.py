@@ -1,14 +1,12 @@
 """Exact linear algebra over Z and over finitely generated abelian groups.
 
-Everything is integer-exact: matrices hold arbitrary-precision Python ints,
-and groups are presented by generator orders (order 0 encodes an infinite
-cyclic factor, so reduction "mod 0" is no reduction). The invariant factors
-of homology come from a sparse elimination on unit pivots modulo those
-orders, which keeps entries below the orders; dense Smith normal form only
-finishes the small residual block it leaves. Membership witnesses (h x = b)
-come from the same sparse kernel. Dense SNF with its transforms still
-computes homology with representative generators, whose values the
-extension tables depend on.
+Everything is integer-exact, in arbitrary-precision Python ints. Groups are
+presented by generator orders (order 0 encodes an infinite cyclic factor, so
+reduction "mod 0" is no reduction) and homomorphisms by sparse columns. The
+invariant factors of homology come from a sparse elimination on unit pivots
+modulo the orders, with dense Smith normal form (SNF) only on the residual
+block; membership witnesses (h x = b) come from the same sparse kernel. The
+dense SNF with transforms still picks representative generators.
 
 >>> M = IntegerMatrix.from_rows([[2, 4], [6, 8]])
 >>> S, U, V = smith_normal_form(M)
@@ -20,8 +18,10 @@ True
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd, lcm, prod
 
 
@@ -55,17 +55,6 @@ class IntegerMatrix:
     @classmethod
     def identity(cls, n):
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal_matrix(cls, values, rows=None, cols=None):
-        values = list(values)
-        rows = len(values) if rows is None else rows
-        cols = len(values) if cols is None else cols
-        m = [[0] * cols for _ in range(rows)]
-        for i, v in enumerate(values):
-            if i < rows and i < cols:
-                m[i][i] = v
-        return cls(rows, cols, m)
 
     @classmethod
     def column(cls, values):
@@ -242,12 +231,8 @@ def smith_normal_form(M):
 def kernel_basis(M):
     """Columns generating the lattice {x : M x = 0}, as an IntegerMatrix."""
     S, _, V, _ = _smith_with_inverses(M)
-    cols = []
-    for j in range(M.cols):
-        if j >= min(M.rows, M.cols) or S[j, j] == 0:
-            cols.append(V.col(j))
-    data = [[col[i] for col in cols] for i in range(M.cols)]
-    return IntegerMatrix(M.cols, len(cols), data)
+    cols = [V.col(j) for j in range(M.cols) if j >= min(M.rows, M.cols) or S[j, j] == 0]
+    return IntegerMatrix(M.cols, len(cols), [[col[i] for col in cols] for i in range(M.cols)])
 
 
 def solve_columns(M, B):
@@ -350,54 +335,87 @@ class FinAbGroup:
 
     def relation_matrix(self):
         """diag(orders): columns generate the subgroup identified with zero."""
-        return IntegerMatrix.diagonal_matrix(self.orders, rows=self.ngens, cols=self.ngens)
+        n = self.ngens
+        return IntegerMatrix(n, n, [[d if i == j else 0 for j in range(n)]
+                                    for i, d in enumerate(self.orders)])
 
 
 TRIVIAL_GROUP = FinAbGroup(())
 
 
-@dataclass(frozen=True)
 class AbHom:
-    """A homomorphism of presented groups, as a target x source integer matrix."""
+    """A homomorphism of presented groups, stored as sparse columns.
 
-    source: FinAbGroup
-    target: FinAbGroup
-    matrix: IntegerMatrix
+    columns[j], which callers only read, is the image of the j-th source
+    generator as a dict {target generator: exact entry, not reduced mod the
+    target orders}, zeros dropped. `matrix`, the dense target x source
+    IntegerMatrix, is built when first read (or is the one given).
+    """
 
-    def __post_init__(self):
-        if self.matrix.rows != self.target.ngens or self.matrix.cols != self.source.ngens:
-            raise ShapeError(
-                f"matrix is {self.matrix.rows}x{self.matrix.cols}, expected "
-                f"{self.target.ngens}x{self.source.ngens}")
+    def __init__(self, source, target, matrix):
+        if matrix.rows != target.ngens or matrix.cols != source.ngens:
+            raise ShapeError(f"matrix is {matrix.rows}x{matrix.cols}, expected "
+                             f"{target.ngens}x{source.ngens}")
+        self.source, self.target, self.matrix = source, target, matrix
+        self.columns = tuple({i: x for i, x in enumerate(matrix.col(j)) if x}
+                             for j in range(matrix.cols))
+
+    @classmethod
+    def from_columns(cls, source, target, columns):
+        """The hom whose j-th column is the dict columns[j] (no zero entries)."""
+        h = cls.__new__(cls)
+        h.source, h.target, h.columns = source, target, tuple(columns)
+        if len(h.columns) != source.ngens:
+            raise ShapeError(f"{len(h.columns)} columns, expected {source.ngens}")
+        return h
+
+    @functools.cached_property
+    def matrix(self):
+        rows = [[0] * self.source.ngens for _ in range(self.target.ngens)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return IntegerMatrix(self.target.ngens, self.source.ngens, rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, AbHom) and (self.source, self.target, self.columns)
+                == (other.source, other.target, other.columns))
+
+    def __repr__(self):
+        return f"AbHom({self.source!r}, {self.target!r}, columns={self.columns!r})"
 
     @classmethod
     def identity(cls, group):
-        return cls(group, group, IntegerMatrix.identity(group.ngens))
+        return cls.from_columns(group, group, ({i: 1} for i in range(group.ngens)))
 
     @classmethod
     def zero(cls, source, target):
-        return cls(source, target, IntegerMatrix.zeros(target.ngens, source.ngens))
+        return cls.from_columns(source, target, ({} for _ in range(source.ngens)))
 
     def apply(self, v):
-        return self.target.reduce(self.matrix.apply(self.source.reduce(v)))
+        out = [0] * self.target.ngens
+        for a, col in zip(self.source.reduce(v), self.columns):
+            if a:
+                for i, x in col.items():
+                    out[i] += a * x
+        return self.target.reduce(out)
 
     def compose(self, other):
         """self after other."""
         if other.target.orders != self.source.orders:
             raise ShapeError("composition mismatch")
-        return AbHom(other.source, self.target, self.matrix * other.matrix)
+        return AbHom.from_columns(other.source, self.target, [
+            _sparse_sum((a, self.columns[k]) for k, a in col.items()) for col in other.columns])
 
     def is_zero(self):
         """Zero as a map into the presented target (entries may be relations)."""
-        return all(self.target.reduce(self.matrix.col(j)) == self.target.zero()
-                   for j in range(self.matrix.cols))
+        return not any(_reduced(col, self.target.orders) for col in self.columns)
 
     def equals(self, other):
         """Equality as maps between the presented groups."""
-        if (self.source.orders, self.target.orders) != (other.source.orders, other.target.orders):
-            return False
-        return all(self.target.reduce(self.matrix.col(j)) == self.target.reduce(other.matrix.col(j))
-                   for j in range(self.matrix.cols))
+        t = self.target.orders
+        return (self.source.orders, t) == (other.source.orders, other.target.orders) and all(
+            _reduced(a, t) == _reduced(b, t) for a, b in zip(self.columns, other.columns))
 
 
 def hom_is_well_defined(h):
@@ -409,13 +427,8 @@ def hom_is_well_defined(h):
     >>> hom_is_well_defined(AbHom(Z2, Z4, IntegerMatrix.from_rows([[2]])))
     True
     """
-    for j, d in enumerate(h.source.orders):
-        if d == 0:
-            continue
-        col = tuple(d * x for x in h.matrix.col(j))
-        if h.target.reduce(col) != h.target.zero():
-            return False
-    return True
+    return not any(_reduced({i: d * x for i, x in col.items()}, h.target.orders)
+                   for d, col in zip(h.source.orders, h.columns) if d)
 
 
 @dataclass(frozen=True)
@@ -518,18 +531,6 @@ def _kernel_lattice(h):
     return IntegerMatrix(b, gens.cols, [gens.row(i) for i in range(b)])
 
 
-def _sparse_columns(M, orders):
-    """The columns of M as {row: entry} dicts, entries reduced mod the row orders."""
-    cols = [{} for _ in range(M.cols)]
-    for i, (row, o) in enumerate(zip(M.entries, orders)):
-        for j, x in enumerate(row):
-            if o:
-                x %= o
-            if x:
-                cols[j][i] = x
-    return cols
-
-
 def _reduced(vec, orders):
     """A sparse vector with each coordinate reduced mod its order, zeros dropped."""
     out = {}
@@ -541,6 +542,64 @@ def _reduced(vec, orders):
     return out
 
 
+def _sparse_sum(terms):
+    """The sum of a * vec over the (a, vec) terms, sparse vectors as dicts, zeros dropped."""
+    acc = {}
+    for a, vec in terms:
+        for i, x in vec.items():
+            acc[i] = acc.get(i, 0) + a * x
+    return {i: x for i, x in acc.items() if x}
+
+
+def _markowitz_pivots(cols, rows, orders):
+    """The pivots (i, p) of _unit_eliminate, which eliminates each before
+    asking for the next: units, gcd(entry, orders[i]) = 1, each of least
+    Markowitz cost (nnz(row i) - 1) * (nnz(column p) - 1), ties to the least
+    (i, p) (Markowitz 1957; Duff, Erisman and Reid, Direct Methods for
+    Sparse Matrices). A heap keys each column by (cost, row) of a unit entry,
+    no higher than its least one. A popped column is rescanned: it gives the
+    pivot if its key still holds, else it is pushed at its least key. A cost
+    falls only where a row or column shrinks or an entry is written, so
+    after a pivot the columns that shrank are rescanned, and the units the
+    pivot wrote or whose row shrank are pushed where they undercut a key.
+    """
+    def push(j, key):
+        keys[j] = key
+        heappush(heap, (*key, j))
+
+    def rescan(j):
+        # the factor nnz(column j) - 1 is common to the column's entries
+        least = min(((len(rows[i]), i) for i, x in cols[j].items()
+                     if gcd(x, orders[i]) == 1), default=None)
+        if least is None:
+            keys.pop(j, None)
+            return None
+        key = ((least[0] - 1) * (len(cols[j]) - 1), least[1])
+        if keys.get(j) != key:
+            push(j, key)
+        return key
+
+    keys, heap = {}, []
+    for j in range(len(cols)):
+        rescan(j)
+    while heap:
+        cost, i, p = heappop(heap)
+        if keys.get(p) != (cost, i) or rescan(p) != (cost, i):
+            continue
+        row_nnz = {r: len(rows[r]) for r in cols[p] if r != i}
+        col_nnz = {j: len(cols[j]) for j in rows[i]}
+        yield i, p
+        shrunk = {j for j, before in col_nnz.items() if len(cols[j]) < before}
+        for j in shrunk:
+            rescan(j)
+        for r, before in row_nnz.items():
+            c = len(rows[r]) - 1
+            for j in (rows[r] if c + 1 < before else rows[r] & col_nnz.keys()) - shrunk:
+                key, old = (c * (len(cols[j]) - 1), r), keys.get(j)
+                if (old is None or key < old) and gcd(cols[j][r], orders[r]) == 1:
+                    push(j, key)
+
+
 def _unit_eliminate(cols, orders, track=None, track_orders=None):
     """Eliminate unit pivots from sparse columns, in place; returns the pivot count.
 
@@ -549,10 +608,10 @@ def _unit_eliminate(cols, orders, track=None, track_orders=None):
     row stay reduced mod its order: that adds multiples of the row's relation
     column, which no step touches until the row is pivoted. A pivot is an
     entry that is a unit mod its row's order (+-1 on an infinite row), of
-    least Markowitz cost (nnz(col) - 1) * (nnz(row) - 1). Pivoting on (i, p)
-    clears row i from the other columns, then removes row i and replaces
-    column p by orders[i] * column p (by zero on an infinite row). Both
-    readings of the matrix survive this step:
+    least Markowitz cost, from the heap of _markowitz_pivots. Pivoting on
+    (i, p) clears row i from the other columns, then removes row i and
+    replaces column p by orders[i] * column p (by zero on an infinite row).
+    Both readings of the matrix survive this step:
 
     - the quotient Z^rows / [A | diag(orders)] is the same quotient on the
       rows left: there e_i = -u^-1 (rest of column p) for the pivot u, and the
@@ -579,92 +638,33 @@ def _unit_eliminate(cols, orders, track=None, track_orders=None):
     for j, col in enumerate(cols):
         for i in col:
             rows.setdefault(i, set()).add(j)
-    row_nnz, col_nnz = {}, {}  # nnz -> the rows (columns) with that many entries
-
-    def move(buckets, key, old, new):
-        if old:
-            bucket = buckets[old]
-            bucket.discard(key)
-            if not bucket:
-                del buckets[old]
-        if new:
-            buckets.setdefault(new, set()).add(key)
-
-    def link(r, j):
-        move(row_nnz, r, len(rows[r]), len(rows[r]) + 1)
-        rows[r].add(j)
-
-    def unlink(r, j):
-        move(row_nnz, r, len(rows[r]), len(rows[r]) - 1)
-        rows[r].discard(j)
-
-    for i, js in rows.items():
-        move(row_nnz, i, 0, len(js))
-    for j, col in enumerate(cols):
-        move(col_nnz, j, 0, len(col))
-
-    def is_unit(i, x):
-        return gcd(x, orders[i]) == 1 if orders[i] else abs(x) == 1
-
-    def choose_pivot():
-        # Rows and columns by increasing nnz k; an entry not yet seen after
-        # count k lies in a row and a column of more than k entries, and of
-        # at least the least count of any row (column).
-        best, best_cost = None, None
-        if not row_nnz:
-            return None
-        rmin, cmin = min(row_nnz), min(col_nnz)
-        top = max(max(row_nnz), max(col_nnz))
-        for k in range(min(rmin, cmin), top + 1):
-            candidates = [(i, j) for i in row_nnz.get(k, ()) for j in rows[i]]
-            candidates += [(i, j) for j in col_nnz.get(k, ()) for i in cols[j]]
-            for i, j in candidates:
-                if is_unit(i, cols[j][i]):
-                    cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-                    if best is None or cost < best_cost:
-                        best, best_cost = (i, j), cost
-                        if cost == 0:
-                            return best
-            if best is not None and best_cost <= max(k, rmin - 1) * max(k, cmin - 1):
-                return best
-        return best
-
     pivots = 0
-    while (pivot := choose_pivot()) is not None:
-        i, p = pivot
+    for i, p in _markowitz_pivots(cols, rows, orders):
         pivots += 1
         o, colp = orders[i], cols[p]
         q_unit = pow(colp[i], -1, o) if o else colp[i]
         for j in [j for j in rows[i] if j != p]:
             col = cols[j]
             q = col[i] * q_unit % o if o else col[i] * q_unit
-            before = len(col)
             for r, v in colp.items():
                 x = col.get(r, 0) - q * v
                 if orders[r]:
                     x %= orders[r]
                 if x:
-                    if r not in col:
-                        link(r, j)
                     col[r] = x
+                    rows[r].add(j)
                 elif r in col:
                     del col[r]
-                    unlink(r, j)
-            move(col_nnz, j, before, len(col))
+                    rows[r].discard(j)
             if track is not None and track[p]:
-                tj = track[j]
-                for c, v in track[p].items():
-                    tj[c] = tj.get(c, 0) - q * v
-                track[j] = _reduced(tj, track_orders)
-        before = len(colp)
+                track[j] = _reduced(_sparse_sum(((1, track[j]), (-q, track[p]))), track_orders)
         for r in list(colp):
             x = o * colp[r] % orders[r] if orders[r] else o * colp[r]
             if x and r != i:
                 colp[r] = x
             else:
                 del colp[r]
-                unlink(r, p)
-        move(col_nnz, p, before, len(colp))
+                rows[r].discard(p)
         del rows[i]
         if track is not None:
             track[p] = _reduced({c: o * v for c, v in track[p].items()}, track_orders)
@@ -673,32 +673,25 @@ def _unit_eliminate(cols, orders, track=None, track_orders=None):
 
 def _residual_block(cols, orders):
     """The nonzero columns, by index, and as a dense block stacked with the
-    relations diag(orders) of the rows they meet."""
+    relations orders[i] * e_i of the rows i they meet (a Z row has none)."""
     live = [j for j, col in enumerate(cols) if col]
     rows = sorted({i for j in live for i in cols[j]})
-    data = [[cols[j].get(i, 0) for j in live]
-            + [orders[i] if a == b else 0 for b in range(len(rows))]
+    finite = [a for a, i in enumerate(rows) if orders[i]]
+    data = [[cols[j].get(i, 0) for j in live] + [orders[i] if a == b else 0 for b in finite]
             for a, i in enumerate(rows)]
-    return live, IntegerMatrix(len(rows), len(live) + len(rows), data)
+    return live, IntegerMatrix(len(rows), len(live) + len(finite), data)
 
 
 def _sparse_kernel(cols, orders, track, track_orders):
-    """Generators of {x : A x = 0 mod orders} in tracked coordinates.
-
-    They are reduced mod track_orders; the kernel also holds every
-    track_orders[c] * e_c. The residual block of _unit_eliminate goes to the
-    dense kernel_basis.
-    """
+    """Generators of {x : A x = 0 mod orders} in tracked coordinates, reduced
+    mod track_orders (the kernel also holds every track_orders[c] * e_c).
+    The residual block of _unit_eliminate goes to the dense kernel_basis."""
     _unit_eliminate(cols, orders, track, track_orders)
     gens = [t for col, t in zip(cols, track) if not col and t]
     live, block = _residual_block(cols, orders)
     if live:
         for v in kernel_basis(block).columns():
-            acc = {}
-            for a, j in enumerate(live):
-                for c, x in track[j].items():
-                    acc[c] = acc.get(c, 0) + v[a] * x
-            acc = _reduced(acc, track_orders)
+            acc = _reduced(_sparse_sum(zip(v, (track[j] for j in live))), track_orders)
             if acc:
                 gens.append(acc)
     return gens
@@ -709,15 +702,11 @@ def _homology_factors(cx, n):
     mid = cx.groups[n]
     out, into = cx.map_out_of(n), cx.map_into(n)
     s, t = mid.orders, out.target.orders
-    dcols = _sparse_columns(out.matrix, t)
-    bcols = _sparse_columns(into.matrix, s)
+    dcols = [_reduced(col, t) for col in out.columns]
+    bcols = [_reduced(col, s) for col in into.columns]
     # the dense path's check: diag(s) and im maps[n-1] must lie in ker maps[n]
     for z in [{j: d} for j, d in enumerate(s) if d] + bcols:
-        image = {}
-        for j, a in z.items():
-            for i, x in dcols[j].items():
-                image[i] = image.get(i, 0) + a * x
-        if _reduced(image, t):
+        if _reduced(_sparse_sum((a, dcols[j]) for j, a in z.items()), t):
             raise ArithmeticError("image does not lie in the kernel; not a complex at this degree")
     # 1. cocycles: K = {x : maps[n] x = 0}, kept mod s. The generators
     #    s_c e_c that K also holds die in the quotient, so they are left out.
@@ -745,17 +734,14 @@ def homology_at(cx, n, with_generators=False):
     result is a pair (factors, gens) where gens holds one representative
     element of groups[n] per canonical factor, torsion generators first.
 
-    The factors alone come from sparse elimination on unit pivots modulo the
-    generator orders (_unit_eliminate), which keeps entries below the orders
-    and leaves dense SNF only a small residual block; so does every question
-    that needs no representative (Morita rows and ext counts, coboundary
-    witnesses). When those factors are trivial there is nothing to
-    represent and the generators are []. Otherwise they still come from the
-    dense path (_kernel_lattice, solve_columns and a final SNF with its
-    transforms), the only caller of solve_columns: the representatives
-    depend on the basis each elimination picks, and the extension and Baer
-    tables of `classify` (and the CLI's --json output) are built from these
-    ones.
+    The factors come from _homology_factors, three sparse eliminations on the
+    columns of the maps, as does every question that needs no
+    representative (Morita rows and ext counts, coboundary witnesses). A
+    trivial group has the generators []. Otherwise they come from the dense
+    path on the `matrix` views of the maps (_kernel_lattice, solve_columns
+    and a final SNF with its transforms): the extension and Baer tables of
+    `classify` and the CLI's --json output are built from these
+    representatives.
 
     >>> Z = FinAbGroup((0,))
     >>> times2 = AbHom(Z, Z, IntegerMatrix.from_rows([[2]]))
@@ -826,7 +812,7 @@ def image_membership_witness(h, target_element):
     nx = h.source.ngens
     L = lcm(*t)
     track_orders = s + (L,)
-    cols = _sparse_columns(h.matrix, t) + [_reduced(dict(enumerate(-x for x in b)), t)]
+    cols = [_reduced(col, t) for col in h.columns] + [_reduced(dict(enumerate(-x for x in b)), t)]
     track = [_reduced({c: 1}, s) for c in range(nx)] + [{nx: 1}]
     gens = _sparse_kernel(cols, t, track, track_orders)
     acc, g = {nx: L}, L

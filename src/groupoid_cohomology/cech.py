@@ -16,10 +16,9 @@ c at the face of the index. One face table drives every coboundary, as in
 the groupoid complex: `cell_faces` lists the faces of a cell (face index,
 face point, restriction), `ss_differential_value` sums them on one cell, and
 `assemble_complex` indexes them by cell position and hands the table to
-`cohomology.assemble_coboundary`, the assembler of `differential_matrix`, in
-one pass over the cells. Matrix entries are left unreduced modulo the target
-orders; they differ from reduced ones by multiples of the orders, which the
-factors-only `homology_at` reduces on entry, so the factors are the same.
+`cohomology.assemble_coboundary`, which writes the sparse columns of each map
+in one pass over the cells. Entries stay unreduced modulo the target orders;
+the factors-only `homology_at` reduces them on entry.
 
 Refinements act by index substitution, and two refinements into a cover
 carrying a full (N-)simplicial index structure are homotopic through the
@@ -165,8 +164,18 @@ class Cover:
     def set_of(self, n, i):
         return self.sets_by_level[n][i]
 
+    @functools.cached_property
+    def _pieces(self):
+        """Per level, point -> the increasing indices of the pieces holding it."""
+        out = [{} for _ in self.sets_by_level]
+        for table, level in zip(out, self.sets_by_level):
+            for i, s in enumerate(level):
+                for p in s:
+                    table[p] = table.get(p, ()) + (i,)
+        return out
+
     def containing(self, n, point):
-        return tuple(i for i, s in enumerate(self.sets_by_level[n]) if point in s)
+        return self._pieces[n].get(point, ())
 
     def covers(self, space, n):
         return set().union(*self.sets_by_level[n]) == set(space.points(n))

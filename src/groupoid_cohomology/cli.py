@@ -141,6 +141,9 @@ def _build_groupoid(args, line_no):
     kind = words[0] if words else ""
     try:
         if kind in _BUILDERS:
+            if len(words) > 2:
+                raise DocumentError(line_no, f"unexpected words after "
+                                    f"{' '.join(words[:2])!r}: {' '.join(words[2:])!r}")
             return _BUILDERS[kind](int(words[1]))
         if kind == "action":
             # action N on M perm p_0 ... p_{M-1}

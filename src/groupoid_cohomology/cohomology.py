@@ -13,29 +13,26 @@ first already lives in the fiber at r(g1); the module action transports the
 first one, so the whole differential is "apply each face, twist the 0-th".
 
 One face table drives every coboundary. `G.face_table(n)` holds, for each
-(n+1)-tuple in canonical order, the positions of its n+2 faces in nerve(n).
-The restriction of face 0 is the action of g1, the others restrict by the
-identity. `differential` and `is_cocycle` walk the table on the cochain
-values: face 0 through the integer matrix of the action, the other faces
-with alternating signs, each entry reduced mod its order; `is_cocycle` stops
-at the first nonzero tuple and no matrix is built. `differential_matrix`
-hands the same table to `assemble_coboundary`, which turns it into the
-integer matrix in one pass; the Cech complexes of `cech` go through that
-assembler with their own tables. Entries are left unreduced modulo the
-target orders: the dense generator path of `homology_at` picks its
-representative cocycles from the exact entries, and the factors-only path
-reduces them on entry anyway. H^n then comes out of elimination.
+(n+1)-tuple in canonical order, the positions of its n+2 faces in nerve(n);
+face 0 restricts by the action of g1, the others by the identity.
+`differential` and `is_cocycle` walk it on the cochain values, each entry
+reduced mod its order (`is_cocycle` stops at the first nonzero tuple).
+`assemble_coboundary` writes the same table straight into the sparse columns
+of an AbHom, for `differential_matrix` and for the Cech complexes of `cech`.
+Entries stay exact, unreduced modulo the target orders: the dense generator
+path of `homology_at` reads its representative cocycles from them, and the
+factors-only path reduces them on entry.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .abelian import (
     AbComplex,
     AbHom,
     FinAbGroup,
-    IntegerMatrix,
     ShapeError,
     homology_at,
     image_membership_witness,
@@ -134,39 +131,42 @@ def alternating_sum(fib, terms):
 
 
 def assemble_coboundary(source_fibers, target_fibers, table):
-    """The integer matrix of an alternating sum of face restrictions.
+    """The sparse columns of an alternating sum of face restrictions, as an AbHom.
 
     The face table has one row per target cell, listing its faces in order
     as (position of the source cell, restriction), the restriction an AbHom
     from the source fiber into the target fiber or None for the identity.
-    Each face adds sign times its restriction into one block, so the work
-    beyond allocating the dense matrix is linear in the number of nonzeros.
-    Entries are not reduced modulo the target orders.
+    Each face adds sign times its restriction into one block of the columns
+    of its source cell, so the work is linear in the number of nonzeros and
+    no dense matrix is allocated. Entries are exact, not reduced modulo the
+    target orders; entries that cancel are dropped.
     """
     source = FinAbGroup(tuple(o for fib in source_fibers for o in fib.orders))
     target = FinAbGroup(tuple(o for fib in target_fibers for o in fib.orders))
-    offsets, pos = [], 0
-    for fib in source_fibers:
-        offsets.append(pos)
-        pos += fib.ngens
-    rows = [[0] * source.ngens for _ in range(target.ngens)]
+    offsets = list(itertools.accumulate((fib.ngens for fib in source_fibers), initial=0))
+    cols = [{} for _ in range(source.ngens)]
+    identity = {}  # ngens -> the identity hom, for the faces restricted by None
     base = 0
     for fib, faces in zip(target_fibers, table):
-        block = rows[base:base + fib.ngens]
+        k = fib.ngens
         sign = 1
         for s, r in faces:
-            col = offsets[s]
+            j = offsets[s]
             if r is None:
-                for i, row in enumerate(block):
-                    row[col + i] += sign
-            else:
-                for row, entries in zip(block, r.matrix.entries):
-                    for j, x in enumerate(entries, col):
-                        if x:
-                            row[j] += sign * x
+                r = identity.get(k) or identity.setdefault(k, AbHom.identity(fib))
+            for rcol in r.columns:
+                col = cols[j]
+                j += 1
+                for i, x in rcol.items():
+                    i += base
+                    x = col.get(i, 0) + sign * x
+                    if x:
+                        col[i] = x
+                    else:
+                        del col[i]
             sign = -sign
-        base += len(block)
-    return AbHom(source, target, IntegerMatrix(target.ngens, source.ngens, rows))
+        base += k
+    return AbHom.from_columns(source, target, cols)
 
 
 def differential(G, A, c):
@@ -178,21 +178,23 @@ def differential(G, A, c):
 
 
 def _coboundary_values(G, A, c):
-    # one pass over G.face_table(n): face 0 through the integer matrix of the
-    # action of g1, the other faces with alternating signs, then each entry
-    # mod its order (order 0: no reduction)
+    # one pass over G.face_table(n): face 0 through the columns of the action
+    # of g1, the other faces with alternating signs, then each entry mod its
+    # order (order 0: no reduction)
     n = c.degree
     values = c.values
     for t, faces in zip(G.nerve(n + 1), G.face_table(n)):
-        v = values[faces[0]]
-        total = [sum([e * x for e, x in zip(row, v)])
-                 for row in A.action(t.arrows[0]).matrix.entries]
+        orders = A.fiber(t.obj).orders
+        total = [0] * len(orders)
+        for x, col in zip(values[faces[0]], A.action(t.arrows[0]).columns):
+            for i, e in col.items():
+                total[i] += e * x
         sign = -1
         for s in faces[1:]:
             for i, x in enumerate(values[s]):
                 total[i] += sign * x
             sign = -sign
-        yield tuple([x % d if d else x for x, d in zip(total, A.fiber(t.obj).orders)])
+        yield tuple([x % d if d else x for x, d in zip(total, orders)])
 
 
 def differential_matrix(G, A, n):

@@ -5,13 +5,16 @@ group-cohomology oracle enumerates cochains as dictionaries and applies the
 alternating-sum formula written out from scratch; quotient group types are
 recovered from element orders alone. The groupoid differential and the
 extension builder have face-by-face and pair-by-pair references here, on
-`groupoid.face`, FinAbGroup arithmetic and the module action only.
+`groupoid.face`, FinAbGroup arithmetic and the module action only. The
+coboundary assembler and the unit-pivot elimination have reference
+versions too: a dense assembler into row lists, and the elimination with
+the bucket-scan pivot search that the heap replaced.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from groupoid_cohomology.abelian import InvariantFactors
 from groupoid_cohomology.classify import Extension, NotACocycleError
@@ -340,3 +343,138 @@ def extension_from_cocycle_by_pairs(G, A, phi):
         for a in fib.elements():
             inj[(x, a)] = aid[(G.unit[x], fib.sub(a, phixx(x)))]
     return Extension(G, A, total, proj, inj, arrow_pairs=tuple(pairs))
+
+
+def dense_coboundary(source_fibers, target_fibers, table):
+    """The rows of the matrix that `cohomology.assemble_coboundary` stores as
+    sparse columns, filled densely: each face of a target cell adds sign
+    times the dense matrix of its restriction (the identity for None) into
+    the block of its source cell. Entries are not reduced."""
+    offsets, pos = [], 0
+    for fib in source_fibers:
+        offsets.append(pos)
+        pos += len(fib.orders)
+    rows = []
+    for fib, faces in zip(target_fibers, table):
+        block = [[0] * pos for _ in fib.orders]
+        for k, (s, r) in enumerate(faces):
+            sign = -1 if k % 2 else 1
+            if r is None:
+                for i, row in enumerate(block):
+                    row[offsets[s] + i] += sign
+            else:
+                for row, entries in zip(block, r.matrix.entries):
+                    for j, x in enumerate(entries):
+                        row[offsets[s] + j] += sign * x
+        rows.extend(block)
+    return rows
+
+
+def _reduced(vec, orders):
+    out = {}
+    for c, x in vec.items():
+        x = x % orders[c] if orders[c] else x
+        if x:
+            out[c] = x
+    return out
+
+
+def bucket_unit_eliminate(cols, orders, track=None, track_orders=None):
+    """The unit-pivot elimination of `abelian._unit_eliminate` with the
+    search it had before the heap: rows and columns bucketed by nnz, every
+    entry of the short rows and columns rescanned at each pivot for the
+    unit of least Markowitz cost. Same contract and return value."""
+    rows = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    row_nnz, col_nnz = {}, {}  # nnz -> the rows (columns) with that many entries
+
+    def move(buckets, key, old, new):
+        if old:
+            bucket = buckets[old]
+            bucket.discard(key)
+            if not bucket:
+                del buckets[old]
+        if new:
+            buckets.setdefault(new, set()).add(key)
+
+    def link(r, j):
+        move(row_nnz, r, len(rows[r]), len(rows[r]) + 1)
+        rows[r].add(j)
+
+    def unlink(r, j):
+        move(row_nnz, r, len(rows[r]), len(rows[r]) - 1)
+        rows[r].discard(j)
+
+    for i, js in rows.items():
+        move(row_nnz, i, 0, len(js))
+    for j, col in enumerate(cols):
+        move(col_nnz, j, 0, len(col))
+
+    def is_unit(i, x):
+        return gcd(x, orders[i]) == 1 if orders[i] else abs(x) == 1
+
+    def choose_pivot():
+        # an entry not yet seen after count k lies in a row and a column of
+        # more than k entries, and of at least the least count of any row
+        # (column)
+        best, best_cost = None, None
+        if not row_nnz:
+            return None
+        rmin, cmin = min(row_nnz), min(col_nnz)
+        top = max(max(row_nnz), max(col_nnz))
+        for k in range(min(rmin, cmin), top + 1):
+            candidates = [(i, j) for i in row_nnz.get(k, ()) for j in rows[i]]
+            candidates += [(i, j) for j in col_nnz.get(k, ()) for i in cols[j]]
+            for i, j in candidates:
+                if is_unit(i, cols[j][i]):
+                    cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
+                    if best is None or cost < best_cost:
+                        best, best_cost = (i, j), cost
+                        if cost == 0:
+                            return best
+            if best is not None and best_cost <= max(k, rmin - 1) * max(k, cmin - 1):
+                return best
+        return best
+
+    pivots = 0
+    while (pivot := choose_pivot()) is not None:
+        i, p = pivot
+        pivots += 1
+        o, colp = orders[i], cols[p]
+        q_unit = pow(colp[i], -1, o) if o else colp[i]
+        for j in [j for j in rows[i] if j != p]:
+            col = cols[j]
+            q = col[i] * q_unit % o if o else col[i] * q_unit
+            before = len(col)
+            for r, v in colp.items():
+                x = col.get(r, 0) - q * v
+                if orders[r]:
+                    x %= orders[r]
+                if x:
+                    if r not in col:
+                        link(r, j)
+                    col[r] = x
+                elif r in col:
+                    del col[r]
+                    unlink(r, j)
+            move(col_nnz, j, before, len(col))
+            if track is not None and track[p]:
+                tj = track[j]
+                for c, v in track[p].items():
+                    tj[c] = tj.get(c, 0) - q * v
+                track[j] = _reduced(tj, track_orders)
+        before = len(colp)
+        for r in list(colp):
+            x = o * colp[r] % orders[r] if orders[r] else o * colp[r]
+            if x and r != i:
+                colp[r] = x
+            else:
+                del colp[r]
+                unlink(r, p)
+        move(col_nnz, p, before, len(colp))
+        del rows[i]
+        if track is not None:
+            track[p] = _reduced({c: o * v for c, v in track[p].items()}, track_orders)
+    return pivots

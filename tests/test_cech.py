@@ -1,6 +1,8 @@
+import importlib
 import random
 
 import pytest
+from test_cohomology import assert_matches_dense_assembler, record_assembly
 from timing import time_limit
 
 from groupoid_cohomology.abelian import (
@@ -301,6 +303,15 @@ def test_assembled_columns_match_the_cochain_differential(case):
         for j, c in enumerate(basis):
             want = ss_flatten(space, coeffs, fam, ss_differential(space, coeffs, fam, c))
             assert h.target.reduce(h.matrix.col(j)) == want
+
+
+@pytest.mark.parametrize("case", _assembly_cases(), ids=lambda case: case[0])
+def test_assembled_columns_match_the_dense_assembler(monkeypatch, case):
+    _, space, coeffs, fam, top = case
+    calls = record_assembly(monkeypatch, importlib.import_module("groupoid_cohomology.cech"))
+    cx = assemble_complex(space, coeffs, fam, top)
+    assert [h for _, h in calls] == list(cx.maps)
+    assert_matches_dense_assembler(calls)
 
 
 def _identity_refinement(space, cov, top):

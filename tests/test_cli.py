@@ -207,6 +207,10 @@ DIAGNOSTICS = [
     (FIBERS + "fiber: 0 3\nfiber: * 3", "line 4: repeated fiber '*', first at line 3"),
     (FIBERS + "fiber: 0 3\naction: g [[2]]\naction: 1 [[2]]",
      "line 5: repeated action 'g', first at line 4"),
+    # a builder takes its words and no more
+    ("groupoid: cyclic 2 3", "line 1: unexpected words after 'cyclic 2': '3'"),
+    ("groupoid: cover cyclic 2 3 sets 0", "line 1: unexpected words after 'cyclic 2': '3'"),
+    ("# builders\ngroupoid: unit 1 x y", "line 2: unexpected words after 'unit 1': 'x y'"),
 ]
 
 
@@ -292,6 +296,14 @@ def test_usage_exit_code(tmp_path, capsys):
         path.write_text(f"groupoid: cyclic 2\nmodule: {module}\ntask: {task}\n")
         assert main(["run", str(path)]) == 2, task
         assert capsys.readouterr().err.startswith("task error: line 3: "), task
+
+
+def test_trailing_builder_words_exit_2(tmp_path, capsys):
+    path = tmp_path / "doc.gpd"
+    for builder in ("cyclic 2 3", "cover cyclic 2 3 sets 0"):
+        path.write_text(f"groupoid: {builder}\nmodule: constant 2\ntask: validate\n")
+        assert main(["run", str(path)]) == 2, builder
+        assert "line 1: unexpected words after 'cyclic 2': '3'" in capsys.readouterr().err
 
 
 def test_failing_validation_exit_code(tmp_path):

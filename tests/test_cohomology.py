@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_force_group_cohomology,
     cyclic_table,
+    dense_coboundary,
     differential_by_faces,
     face_table_by_faces,
     periodic_resolution_cyclic,
 )
+from timing import time_limit
 
 from groupoid_cohomology.abelian import AbHom, FinAbGroup, IntegerMatrix, InvariantFactors
 from groupoid_cohomology.cohomology import (
@@ -310,3 +312,64 @@ def test_is_cocycle_walks_the_cached_face_table(monkeypatch):
     answers = [is_cocycle(G, A, _random_values(rng, G, A, 2)) for _ in range(20)]
     d = differential(G, A, _random_values(rng, G, A, 2))
     assert calls == [2] and not all(answers) and is_cocycle(G, A, d)
+
+
+def record_assembly(monkeypatch, module):
+    """Record, in order, the arguments of every assemble_coboundary call made
+    through `module` and the hom it returned."""
+    calls = []
+    assemble = cohomology_module.assemble_coboundary
+
+    def spy(*args):
+        calls.append((args, assemble(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(module, "assemble_coboundary", spy)
+    return calls
+
+
+def assert_matches_dense_assembler(calls):
+    for args, h in calls:
+        assert all(x for col in h.columns for x in col.values())
+        assert [list(row) for row in h.matrix.entries] == dense_coboundary(*args)
+
+
+# the complexes of the benchmark ladder: (builder, size, coefficient order, degree)
+LADDER = [(cyclic_group, 3, 3, 4), (cyclic_group, 4, 4, 3), (cyclic_group, 5, 5, 2),
+          (cyclic_group, 6, 6, 2), (pair_groupoid, 4, 2, 2), (cyclic_group, 3, 0, 3)]
+
+
+def test_assembled_columns_match_the_dense_assembler(monkeypatch):
+    calls = record_assembly(monkeypatch, cohomology_module)
+    cases = []
+    for build, m, order, n in LADDER:
+        G = build(m)
+        cases.append((G, constant_module(G, FinAbGroup((order,))), n))
+    Z3 = FinAbGroup((3,))
+    negated = GModule(C2, (Z3,), (AbHom.identity(Z3), AbHom(Z3, Z3, IntegerMatrix.from_rows([[-1]]))))
+    cases += [(C2, negated, n) for n in range(4)]
+    rng = random.Random(11)
+    cases += [(*random_instance(rng, max_arrows=8, allow_infinite=True), n % 3) for n in range(12)]
+    for G, A, n in cases:
+        cohomology(G, A, n)
+    assert len(calls) == sum(2 if n else 1 for _, _, n in cases)
+    assert_matches_dense_assembler(calls)
+
+
+def test_factors_only_cohomology_builds_no_dense_matrix(monkeypatch):
+    # the dense view of a hom is cached on the instance when first read
+    built = []
+    real = cohomology_module.differential_matrix
+    monkeypatch.setattr(cohomology_module, "differential_matrix",
+                        lambda *args: built.append(real(*args)) or built[-1])
+    C4 = cyclic_group(4)
+    A = constant_module(C4, FinAbGroup((4,)))
+    assert cohomology(C4, A, 3) == InvariantFactors((4,), 0)
+    assert len(built) == 2
+    assert not any("matrix" in vars(h) for h in built + list(A.actions))
+
+
+def test_factors_only_c8_degree_three_is_bounded():
+    C8 = cyclic_group(8)
+    with time_limit(1.2):
+        got = cohomology(C8, constant_module(C8, FinAbGroup((8,))), 3)
+    assert got == InvariantFactors((8,), 0)
