@@ -20,13 +20,15 @@ face point, restriction), `ss_differential_value` sums them on one cell, and
 in one pass over the cells. Entries stay unreduced modulo the target orders;
 the factors-only `homology_at` reduces them on entry.
 
-Refinements act by index substitution, and two refinements into a cover
+Refinement maps theta* and the comparison maps q and iota of a constant
+space are one pull-back along an index map. Two refinements into a cover
 carrying a full (N-)simplicial index structure are homotopic through the
 explicit operator H whose index combinatorics (alpha_k, with the three-way
 case split) is implemented verbatim.
 
-Pieces with empty carriers are pruned from complex assembly; pruning is
-face-closed, so the pruned and unpruned complexes agree.
+Every complex family prunes its cover to the nonempty pieces, sigma U being
+the family of its own slot cover; pruning is face-closed, so the pruned and
+unpruned complexes agree.
 """
 
 from __future__ import annotations
@@ -281,15 +283,14 @@ class _SlotCover:
                                 for f, i in zip(self._slots_at(n)[0], label)))
 
     def containing(self, n, point):
-        """The product over the slots f of the base indices containing f~(point)."""
-        pools = []
-        total = 1
-        for f in self._slots_at(n)[0]:
-            opts = self.base.containing(f.domain, self.space.smap(f, point))
-            total *= len(opts)
-            if total > self.budget.max_per_point:
-                raise BudgetExceeded(f"too many nonempty {self.stage} indices per point")
-            pools.append(opts)
+        """The product over the slots f of the base indices containing f~(point),
+        its size checked before it is enumerated."""
+        pools = [self.base.containing(f.domain, self.space.smap(f, point))
+                 for f in self._slots_at(n)[0]]
+        total = prod(map(len, pools))
+        if total > self.budget.max_per_point:
+            raise BudgetExceeded(f"too many nonempty {self.stage} indices per point: "
+                                 f"{total} at level {n}", total)
         return tuple(itertools.product(*pools))
 
     def _reindex(self, g, label):
@@ -345,12 +346,11 @@ def refinement_into_sigma_n(space, sigma_n_cover, top):
     its value at the identity slot, whose piece contains it by construction."""
     if top > sigma_n_cover.N:
         raise ValueError(f"sigma_{sigma_n_cover.N} has no identity slot at level {top}")
+    fam = SimplicialCoverComplex(space, sigma_n_cover, top, sigma_n_cover.budget)
     tables = []
     for n in range(top + 1):
         ident = sigma_n_cover.slots(n).index(MonotoneMap.identity(n))
-        labels = nonempty_pieces(space, sigma_n_cover, n, sigma_n_cover.budget,
-                                 sigma_n_cover.stage)
-        tables.append({label: label[ident] for label in labels})
+        tables.append({label: label[ident] for label in fam.indices(n)})
     return Refinement(sigma_n_cover.base, sigma_n_cover, tuple(tables))
 
 
@@ -358,7 +358,35 @@ def refinement_into_sigma_n(space, sigma_n_cover, top):
 # the sigma (semi-simplicial) construction and cover complexes
 
 
-class SigmaCover(_SlotCover):
+class SimplicialCoverComplex:
+    """A cover used directly as a semi-simplicial complex family: its own
+    indices, pruned to the nonempty pieces, faces through jmap."""
+
+    stage = "cover complex"
+
+    def __init__(self, space, cover, top, budget=DEFAULT_BUDGET):
+        self.space = space
+        self.cover = cover
+        self.top = top
+        self.budget = budget
+        self._levels = {}
+
+    def _level(self, n):
+        if n not in self._levels:
+            self._levels[n] = nonempty_pieces(self.space, self.cover, n, self.budget, self.stage)
+        return self._levels[n]
+
+    def indices(self, n):
+        return tuple(self._level(n))
+
+    def points_of(self, n, label):
+        return self._level(n)[label]
+
+    def face_index(self, k, n, label):
+        return self.cover.jmap(MonotoneMap.face(n, k), label)
+
+
+class SigmaCover(SimplicialCoverComplex, _SlotCover):
     """sigma U: the semi-simplicial cover of any plain-ish cover.
 
     Level-n indices are tuples over the strictly increasing slots, each
@@ -368,11 +396,13 @@ class SigmaCover(_SlotCover):
     """
 
     stage = "sigma"
+    # the complex family of its own slot cover; a property, as an attribute
+    # would be a reference cycle holding the built levels until a full collection
+    cover = property(lambda self: self)
 
     def __init__(self, space, base, top, budget=DEFAULT_BUDGET):
-        super().__init__(space, base, budget, all_strict_maps, None)
-        self.top = top
-        self._levels = {}
+        _SlotCover.__init__(self, space, base, budget, all_strict_maps, None)
+        self.top, self._levels = top, {}
 
     def slots(self, n):
         return tuple(self._slots_at(n)[1])
@@ -385,48 +415,14 @@ class SigmaCover(_SlotCover):
         unpruned reference. Budgeted."""
         return [(label, self.set_of(n, label)) for label in self._candidates(n)]
 
-    def _level(self, n):
-        if n not in self._levels:
-            self._levels[n] = nonempty_pieces(self.space, self, n, self.budget, self.stage)
-        return self._levels[n]
-
     def indices(self, n):
-        """Nonempty indices, sorted."""
-        return tuple(self._level(n))
-
-    def points_of(self, n, label):
-        return self._level(n)[label]
+        """Nonempty indices, sorted (its own entry, so that a trace probe can
+        wrap the sigma levels alone)."""
+        return super().indices(n)
 
     def face_index(self, k, n, label):
-        """eps_k~ on indices: level n label -> level n-1 label."""
+        """eps_k~ by reindexing (sigma has no jmap): level n label -> level n-1 label."""
         return self._reindex(MonotoneMap.face(n, k), label)
-
-
-class SimplicialCoverComplex:
-    """A simplicial cover used directly as a semi-simplicial complex family
-    (its own indices, faces through jmap); pieces are pruned to nonempty."""
-
-    def __init__(self, space, cover, top, budget=DEFAULT_BUDGET):
-        self.space = space
-        self.cover = cover
-        self.top = top
-        self.budget = budget
-        self._levels = {}
-
-    def _level(self, n):
-        if n not in self._levels:
-            self._levels[n] = nonempty_pieces(self.space, self.cover, n, self.budget,
-                                              "cover complex")
-        return self._levels[n]
-
-    def indices(self, n):
-        return tuple(self._level(n))
-
-    def points_of(self, n, label):
-        return self._level(n)[label]
-
-    def face_index(self, k, n, label):
-        return self.cover.jmap(MonotoneMap.face(n, k), label)
 
 
 # ---------------------------------------------------------------------------
@@ -451,26 +447,21 @@ def ss_zero(space, coeffs, fam, n):
 def ss_basis(space, coeffs, fam, n):
     """Indicator cochains, one per generator of the degree-n cochain group."""
     out = []
-    for label in fam.indices(n):
-        for p in fam.points_of(n, label):
-            for j in range(coeffs.fiber(n, p).ngens):
-                c = ss_zero(space, coeffs, fam, n)
-                vec = list(c.data[label][p])
-                vec[j] = 1
-                c.data[label][p] = coeffs.fiber(n, p).reduce(tuple(vec))
-                out.append(c)
+    for label, p, fib in complex_coordinates(space, coeffs, fam, n):
+        for j in range(fib.ngens):
+            c = ss_zero(space, coeffs, fam, n)
+            vec = list(c.data[label][p])
+            vec[j] = 1
+            c.data[label][p] = fib.reduce(tuple(vec))
+            out.append(c)
     return out
 
 
 def ss_random(space, coeffs, fam, n, rng):
-    data = {}
-    for label in fam.indices(n):
-        vals = {}
-        for p in fam.points_of(n, label):
-            fib = coeffs.fiber(n, p)
-            vals[p] = fib.reduce(tuple(rng.randrange(d) if d else rng.randrange(-3, 4)
-                                       for d in fib.orders))
-        data[label] = vals
+    data = {label: {} for label in fam.indices(n)}
+    for label, p, fib in complex_coordinates(space, coeffs, fam, n):
+        data[label][p] = fib.reduce(tuple(rng.randrange(d) if d else rng.randrange(-3, 4)
+                                          for d in fib.orders))
     return SSCochain(n, data)
 
 
@@ -574,7 +565,7 @@ def assemble_complex(space, coeffs, fam, top, budget=DEFAULT_BUDGET):
         fibs = [fib for _, _, fib in level]
         ngens = sum(fib.ngens for fib in fibs)
         if ngens > budget.max_cells:
-            raise BudgetExceeded(f"complex level {n} has {ngens} coordinates")
+            raise BudgetExceeded(f"complex level {n} has {ngens} coordinates", ngens)
         cells.append(level)
         fibers.append(fibs)
     maps = []
@@ -634,18 +625,22 @@ def validate_refinement(space, refinement, top):
                     raise ValueError(f"theta misses the nonempty index {label} at level {n}")
 
 
-def refinement_map(space, coeffs, sigma_coarse, sigma_fine, refinement, c):
-    """theta* : substitute indices slotwise and restrict to the finer pieces."""
+def _pull_back(fam, c, source_index):
+    """The cochain over fam whose value at (label, p) is c at
+    (source_index(label), p): theta*, q and iota."""
     n = c.degree
     data = {}
-    for label in sigma_fine.indices(n):
-        big = tuple(refinement.theta(len(s) - 1, i)
-                    for s, i in zip(sigma_fine.slots(n), label))
-        vals = {}
-        for p in sigma_fine.points_of(n, label):
-            vals[p] = c.data[big][p]
-        data[label] = vals
+    for label in fam.indices(n):
+        vals = c.data[source_index(label)]
+        data[label] = {p: vals[p] for p in fam.points_of(n, label)}
     return SSCochain(n, data)
+
+
+def refinement_map(space, coeffs, sigma_coarse, sigma_fine, refinement, c):
+    """theta* : substitute indices slotwise and restrict to the finer pieces."""
+    slots = sigma_fine.slots(c.degree)
+    return _pull_back(sigma_fine, c, lambda label: tuple(
+        refinement.theta(len(s) - 1, i) for s, i in zip(slots, label)))
 
 
 def _alpha_slot(slot, k, n, fine_cover, lam, lam_slots_pos, theta0, theta1, vertex_sub):
@@ -692,8 +687,7 @@ def homotopy_operator(space, coeffs, sigma_coarse, sigma_fine, fine_cover,
     n = degree
     if n == 0:
         return SSCochain(-1, {})
-    lam_slots = sigma_fine.slots(n - 1)
-    lam_pos = {s: i for i, s in enumerate(lam_slots)}
+    lam_pos = {s: i for i, s in enumerate(sigma_fine.slots(n - 1))}
     big_slots = sigma_coarse.slots(n)
     t0 = theta0.theta if isinstance(theta0, Refinement) else theta0
     t1 = theta1.theta if isinstance(theta1, Refinement) else theta1
@@ -753,9 +747,9 @@ def check_homotopy_identity(space, coeffs, coarse, fine_cover, theta0, theta1,
 
 @dataclass
 class ConstantComparison:
-    """q and iota between the sigma-complex of the induced cover of a constant
-    space and the usual complex of the level-0 cover; homotopy_operator with
-    vertex_sub=True is the homotopy H with dH + Hd = iota q - id."""
+    """q and iota, pull-backs between the sigma-complex of the induced cover of
+    a constant space and the usual complex of the level-0 cover;
+    homotopy_operator with vertex_sub=True is the homotopy H with dH + Hd = iota q - id."""
 
     space: ConstantSpace
     coeffs: object
@@ -764,25 +758,16 @@ class ConstantComparison:
     plain: SimplicialCoverComplex
 
     def q(self, c):
-        """(q phi)_{i_0...i_n} = phi_{lambda^{(i)}}."""
-        n = c.degree
-        slots = self.sigma.slots(n)
-        data = {}
-        for label in self.plain.indices(n):
-            lam = tuple(tuple(label[v] for v in S) for S in slots)
-            data[label] = {p: c.data[lam][p] for p in self.plain.points_of(n, label)}
-        return SSCochain(n, data)
+        """(q phi)_{i_0...i_n} = phi_{lambda^{(i)}}, lambda^{(i)}(S) = i|_S."""
+        slots = self.sigma.slots(c.degree)
+        return _pull_back(self.plain, c,
+                          lambda label: tuple(tuple(label[v] for v in S) for S in slots))
 
     def iota(self, c):
         """(iota c)_lambda = c at the tuple of vertex indices of lambda."""
         n = c.degree
-        slots = self.sigma.slots(n)
-        pos = {s: i for i, s in enumerate(slots)}
-        data = {}
-        for lam in self.sigma.indices(n):
-            label = tuple(lam[pos[(m,)]][0] for m in range(n + 1))
-            data[lam] = {p: c.data[label][p] for p in self.sigma.points_of(n, lam)}
-        return SSCochain(n, data)
+        vertices = [self.sigma.slots(n).index((m,)) for m in range(n + 1)]
+        return _pull_back(self.sigma, c, lambda lam: tuple(lam[i][0] for i in vertices))
 
     def check_identities(self, phi):
         """Both sides of dH + Hd = iota q - id for one sigma-cochain, H being
@@ -800,8 +785,7 @@ def constant_space_comparison(n_points, level0_sets, group, top,
     space = ConstantSpace(n_points)
     coeffs = ConstantCoefficients(group)
     cover = InducedSimplicialCover(space, level0_sets, budget)
-    covered = set().union(*cover.level0) if cover.level0 else set()
-    if covered != set(range(n_points)):
+    if set().union(*cover.level0) != set(range(n_points)):
         raise ValueError("level-0 family does not cover the space")
     sigma = SigmaCover(space, cover, top + 1, budget)
     plain = SimplicialCoverComplex(space, cover, top + 1, budget)

@@ -133,6 +133,13 @@ def _int_arg(word, line_no, what, least=None):
     return value
 
 
+def _at_most(words, most, line_no):
+    """Reject a line with more than `most` words."""
+    if len(words) > most:
+        raise DocumentError(line_no, f"unexpected words after "
+                            f"{' '.join(words[:most])!r}: {' '.join(words[most:])!r}")
+
+
 _BUILDERS = {"cyclic": cyclic_group, "pair": pair_groupoid, "unit": unit_groupoid}
 
 
@@ -141,9 +148,7 @@ def _build_groupoid(args, line_no):
     kind = words[0] if words else ""
     try:
         if kind in _BUILDERS:
-            if len(words) > 2:
-                raise DocumentError(line_no, f"unexpected words after "
-                                    f"{' '.join(words[:2])!r}: {' '.join(words[2:])!r}")
+            _at_most(words, 2, line_no)
             return _BUILDERS[kind](int(words[1]))
         if kind == "action":
             # action N on M perm p_0 ... p_{M-1}
@@ -369,6 +374,11 @@ def _factors_dict(factors):
     return {"torsion": list(factors.torsion), "free_rank": factors.free_rank}
 
 
+# The most words of a task line, its name included; morita reads sets to the end.
+_TASK_WORDS = {"validate": 1, "cohomology": 2, "ext": 1, "baer": 1, "strict-trivial": 1,
+               "cech": 3, "homotopy-check": 3}
+
+
 def run(doc, budget=None, max_degree=3, seed=0):
     """Execute the document's tasks in order; returns (results, exit_code)."""
     budget = budget or Budget()
@@ -386,6 +396,7 @@ def run(doc, budget=None, max_degree=3, seed=0):
     for args, line_no in doc.tasks:
         words = args.split()
         name = words[0] if words else ""
+        _at_most(words, _TASK_WORDS.get(name, len(words)), line_no)
         try:
             if name == "validate":
                 rep = validate(G)

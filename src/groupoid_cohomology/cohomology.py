@@ -208,11 +208,16 @@ def differential_matrix(G, A, n):
                                [tuple_fiber(A, t) for t in cells], table)
 
 
+def _complex(G, A, low, high):
+    """C^low -> ... -> C^high, its groups read off the maps just assembled."""
+    maps = tuple(differential_matrix(G, A, k) for k in range(low, high))
+    groups = (maps[0].source, *(h.target for h in maps)) if maps else (cochain_group(G, A, low),)
+    return AbComplex(groups, maps)
+
+
 def cochain_complex(G, A, top):
     """The complex C^0 -> ... -> C^top as an AbComplex."""
-    groups = tuple(cochain_group(G, A, n) for n in range(top + 1))
-    maps = tuple(differential_matrix(G, A, n) for n in range(top))
-    return AbComplex(groups, maps)
+    return _complex(G, A, 0, top)
 
 
 def cohomology(G, A, n, with_generators=False):
@@ -223,8 +228,7 @@ def cohomology(G, A, n, with_generators=False):
     reads no other part of the complex.
     """
     low = max(n - 1, 0)
-    cx = AbComplex(tuple(cochain_group(G, A, k) for k in range(low, n + 2)),
-                   tuple(differential_matrix(G, A, k) for k in range(low, n + 1)))
+    cx = _complex(G, A, low, n + 1)
     if not with_generators:
         return homology_at(cx, n - low)
     factors, vecs = homology_at(cx, n - low, with_generators=True)

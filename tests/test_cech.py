@@ -94,13 +94,27 @@ def test_sigma_maximal_cover_coherent_indices():
 
 
 def test_budget_rejection_reports_estimate():
+    """Every overrun names its stage and estimates the size it refused."""
     space = ConstantSpace(3)
     cov = Cover.from_sets([[{0, 1, 2}] * 4 for _ in range(4)])
     fam = SigmaCover(space, cov, 3, Budget(max_candidates=10, max_per_point=10,
                                            max_cells=10))
-    with pytest.raises(BudgetExceeded) as err:
-        fam.all_lambda(2)
-    assert err.value.estimate is not None and err.value.estimate > 10
+    c3 = NerveSpace(cyclic_group(3))
+    per_point = SigmaCover(c3, MaximalSimplicialCover(c3), 2, Budget(max_per_point=0))
+    z3 = ConstantCoefficients(FinAbGroup((3,)))
+    c3_sigma = SigmaCover(c3, MaximalSimplicialCover(c3), 2)
+    for overrun, cap, stage in [
+        # every candidate index of a four-piece cover at level 2
+        (lambda: fam.all_lambda(2), 10, "sigma cover has"),
+        # the sigma indices at one point of C3's nerve
+        (lambda: per_point.indices(1), 0, "too many nonempty sigma indices per point"),
+        # the coordinates of one level of an assembled complex
+        (lambda: assemble_complex(c3, z3, c3_sigma, 2, Budget(max_cells=2)), 2,
+         "complex level 1"),
+    ]:
+        with pytest.raises(BudgetExceeded, match=stage) as err:
+            overrun()
+        assert err.value.estimate is not None and err.value.estimate > cap, stage
 
 
 def test_cover_complex_honours_the_cell_budget():
@@ -470,6 +484,9 @@ def test_error_paths():
     phi = ss_random(space, coeffs, sU, 1, random.Random(0))
     with pytest.raises(ShapeError, match="simplicial index structure"):
         homotopy_operator(space, coeffs, sU, sU, U, None, None, phi)
+    # nor is sigma: it is only semi-simplicial
+    with pytest.raises(ShapeError, match="simplicial index structure"):
+        homotopy_operator(space, coeffs, sU, sU, sU, None, None, phi)
     # refinement containment violations are caught by validation
     V = MaximalSimplicialCover(space)
     bogus = []

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from oracles import find_isomorphism
@@ -13,6 +14,9 @@ from groupoid_cohomology.cli import (
     run,
 )
 from groupoid_cohomology.groupoid import pair_groupoid
+
+FROZEN_DOCUMENTS = (Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+                    / "documents.json")
 
 BUILDER_DOC = """\
 groupoid: cyclic 2
@@ -262,6 +266,14 @@ def test_structured_output_deterministic():
     assert out1 == out2
 
 
+def test_frozen_documents_replay_byte_identical():
+    """Every frozen benchmark document gives the same --json bytes."""
+    outputs = json.loads(FROZEN_DOCUMENTS.read_text(encoding="utf-8"))["outputs"]
+    assert len(outputs) == 81
+    for text, frozen in outputs.items():
+        assert results_to_json(run(parse(text))[0]) == frozen, text
+
+
 def test_assertion_tasks_and_exit_codes(tmp_path):
     path = tmp_path / "doc.gpd"
     path.write_text(BUILDER_DOC + "task: morita 0|0\ntask: cech maximal 1\n")
@@ -291,6 +303,13 @@ def test_usage_exit_code(tmp_path, capsys):
         ("constant 0", "ext"),
         ("constant 0", "baer"),
         ("constant 0", "strict-trivial"),
+        ("constant 2", "validate junk"),
+        ("constant 2", "ext junk"),
+        ("constant 2", "baer junk"),
+        ("constant 2", "strict-trivial junk"),
+        ("constant 2", "cohomology 0..1 junk"),
+        ("constant 2", "cech maximal 1 junk"),
+        ("constant 2", "homotopy-check 1 2 junk"),
     ]:
         capsys.readouterr()
         path.write_text(f"groupoid: cyclic 2\nmodule: {module}\ntask: {task}\n")
