@@ -78,6 +78,7 @@ from .cech import (
     sigma_cover,
     single_set_cover,
     ss_differential,
+    use_budget,
 )
 from .morita import cover_nerve_structure, morita_compare
 from .randomized import run_homotopy_trials

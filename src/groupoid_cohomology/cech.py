@@ -28,7 +28,8 @@ case split) is implemented verbatim.
 
 Every complex family prunes its cover to the nonempty pieces, sigma U being
 the family of its own slot cover; pruning is face-closed, so the pruned and
-unpruned complexes agree.
+unpruned complexes agree. Each level is checked against the active `Budget`
+(`use_budget`) when it is first built: candidates, indices per point, cells.
 """
 
 from __future__ import annotations
@@ -40,25 +41,8 @@ from math import prod
 
 from .abelian import AbComplex, FinAbGroup, ShapeError, homology_at
 from .cohomology import alternating_sum, assemble_coboundary, tuple_fiber
-from .groupoid import MonotoneMap, all_monotone_maps, all_strict_maps, simplicial_map
-
-
-class BudgetExceeded(RuntimeError):
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Caps on the exponential enumerations; exceeding one raises."""
-
-    max_candidates: int = 500_000
-    max_per_point: int = 20_000
-    max_cells: int = 200_000
-
-
-DEFAULT_BUDGET = Budget()
+from .groupoid import (DEFAULT_BUDGET, Budget, BudgetExceeded, MonotoneMap,  # noqa: F401
+                       _guard, all_monotone_maps, all_strict_maps, simplicial_map, use_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +201,19 @@ class MaximalSimplicialCover:
         return self.space.smap(f, label)
 
 
-def nonempty_pieces(space, cover, n, budget, stage):
+def nonempty_pieces(space, cover, n, stage):
     """The nonempty pieces of a cover at level n: label -> sorted points,
     labels sorted, read off `cover.containing` point by point.
 
-    Every pruned family is built here; more than `budget.max_cells` cells
-    raises, naming the stage.
+    Every pruned family is built here; more cells than the active
+    `max_cells` raises, naming the stage.
     """
     table = {}
     for p in space.points(n):
         for label in cover.containing(n, p):
             table.setdefault(label, []).append(p)
     cells = sum(len(pts) for pts in table.values())
-    if cells > budget.max_cells:
-        raise BudgetExceeded(f"{stage} level {n} has {cells} cells", cells)
+    _guard("max_cells", cells, f"{stage} level {n} has {cells} cells")
     return {label: tuple(sorted(table[label])) for label in sorted(table)}
 
 
@@ -242,15 +225,13 @@ class _SlotCover:
 
     The covers differ only in their slot maps: maps(k, n) for k up to
     max_domain (None: up to n). The candidate set is exponential, so
-    everything is evaluated per point or per label, guarded by the budget.
+    everything is evaluated per point or per label, under the active budget.
     """
 
     stage = None
 
-    def __init__(self, space, base, budget, maps, max_domain):
-        self.space = space
-        self.base = base
-        self.budget = budget
+    def __init__(self, space, base, maps, max_domain):
+        self.space, self.base = space, base
         self._slot_kind = (maps, max_domain)
         self._level_slots = {}
         self._reindex_tables = {}
@@ -272,9 +253,7 @@ class _SlotCover:
     def _candidates(self, n):
         """Every candidate index, lexicographically. Budgeted."""
         count = self.index_count(n)
-        if count > self.budget.max_candidates:
-            raise BudgetExceeded(f"{self.stage} cover has {count} candidates at level {n}",
-                                 count)
+        _guard("max_candidates", count, f"{self.stage} cover has {count} candidates at level {n}")
         return itertools.product(*(self.base.indices(f.domain) for f in self._slots_at(n)[0]))
 
     def set_of(self, n, label):
@@ -288,9 +267,8 @@ class _SlotCover:
         pools = [self.base.containing(f.domain, self.space.smap(f, point))
                  for f in self._slots_at(n)[0]]
         total = prod(map(len, pools))
-        if total > self.budget.max_per_point:
-            raise BudgetExceeded(f"too many nonempty {self.stage} indices per point: "
-                                 f"{total} at level {n}", total)
+        _guard("max_per_point", total,
+               f"too many nonempty {self.stage} indices per point: {total} at level {n}")
         return tuple(itertools.product(*pools))
 
     def _reindex(self, g, label):
@@ -314,8 +292,8 @@ class SigmaNSimplicialCover(_SlotCover):
 
     stage = "sigma_N"
 
-    def __init__(self, space, base, N, budget=DEFAULT_BUDGET):
-        super().__init__(space, base, budget, all_monotone_maps, N)
+    def __init__(self, space, base, N):
+        super().__init__(space, base, all_monotone_maps, N)
         self.N = N
 
     def slots(self, n):
@@ -336,9 +314,9 @@ class InducedSimplicialCover(SigmaNSimplicialCover):
 
     stage = "induced"
 
-    def __init__(self, space, level0_sets, budget=DEFAULT_BUDGET):
+    def __init__(self, space, level0_sets):
         self.level0 = tuple(frozenset(s) for s in level0_sets)
-        super().__init__(space, Cover((self.level0,)), 0, budget)
+        super().__init__(space, Cover((self.level0,)), 0)
 
 
 def refinement_into_sigma_n(space, sigma_n_cover, top):
@@ -346,7 +324,7 @@ def refinement_into_sigma_n(space, sigma_n_cover, top):
     its value at the identity slot, whose piece contains it by construction."""
     if top > sigma_n_cover.N:
         raise ValueError(f"sigma_{sigma_n_cover.N} has no identity slot at level {top}")
-    fam = SimplicialCoverComplex(space, sigma_n_cover, top, sigma_n_cover.budget)
+    fam = SimplicialCoverComplex(space, sigma_n_cover, top)
     tables = []
     for n in range(top + 1):
         ident = sigma_n_cover.slots(n).index(MonotoneMap.identity(n))
@@ -364,16 +342,12 @@ class SimplicialCoverComplex:
 
     stage = "cover complex"
 
-    def __init__(self, space, cover, top, budget=DEFAULT_BUDGET):
-        self.space = space
-        self.cover = cover
-        self.top = top
-        self.budget = budget
-        self._levels = {}
+    def __init__(self, space, cover, top):
+        self.space, self.cover, self.top, self._levels = space, cover, top, {}
 
     def _level(self, n):
         if n not in self._levels:
-            self._levels[n] = nonempty_pieces(self.space, self.cover, n, self.budget, self.stage)
+            self._levels[n] = nonempty_pieces(self.space, self.cover, n, self.stage)
         return self._levels[n]
 
     def indices(self, n):
@@ -400,8 +374,8 @@ class SigmaCover(SimplicialCoverComplex, _SlotCover):
     # would be a reference cycle holding the built levels until a full collection
     cover = property(lambda self: self)
 
-    def __init__(self, space, base, top, budget=DEFAULT_BUDGET):
-        _SlotCover.__init__(self, space, base, budget, all_strict_maps, None)
+    def __init__(self, space, base, top):
+        _SlotCover.__init__(self, space, base, all_strict_maps, None)
         self.top, self._levels = top, {}
 
     def slots(self, n):
@@ -552,7 +526,7 @@ def ss_flatten(space, coeffs, fam, c):
     return tuple(out)
 
 
-def assemble_complex(space, coeffs, fam, top, budget=DEFAULT_BUDGET):
+def assemble_complex(space, coeffs, fam, top):
     """The cochain complex of a family as presented abelian groups.
 
     Each map is assembled from the family's face table, built from
@@ -564,8 +538,7 @@ def assemble_complex(space, coeffs, fam, top, budget=DEFAULT_BUDGET):
         level = complex_coordinates(space, coeffs, fam, n)
         fibs = [fib for _, _, fib in level]
         ngens = sum(fib.ngens for fib in fibs)
-        if ngens > budget.max_cells:
-            raise BudgetExceeded(f"complex level {n} has {ngens} coordinates", ngens)
+        _guard("max_cells", ngens, f"complex level {n} has {ngens} coordinates")
         cells.append(level)
         fibers.append(fibs)
     maps = []
@@ -579,17 +552,17 @@ def assemble_complex(space, coeffs, fam, top, budget=DEFAULT_BUDGET):
     return AbComplex(groups, tuple(maps))
 
 
-def sigma_cover(space, cover, top, budget=DEFAULT_BUDGET):
+def sigma_cover(space, cover, top):
     """The semi-simplicial cover sigma U, with its Lambda index calculus."""
     if isinstance(cover, Cover):
         validate_cover(space, cover, top)
-    return SigmaCover(space, cover, top, budget)
+    return SigmaCover(space, cover, top)
 
 
-def cech_cohomology_on_cover(space, coeffs, cover, n, budget=DEFAULT_BUDGET):
+def cech_cohomology_on_cover(space, coeffs, cover, n):
     """H^n of the sigma-complex of a cover."""
-    fam = sigma_cover(space, cover, n + 1, budget)
-    cx = assemble_complex(space, coeffs, fam, n + 1, budget)
+    fam = sigma_cover(space, cover, n + 1)
+    cx = assemble_complex(space, coeffs, fam, n + 1)
     return homology_at(cx, n)
 
 
@@ -725,15 +698,14 @@ def _homotopy_side(space, coeffs, sigma_coarse, sigma_fine, fine_cover, theta0, 
     return ss_add(space, coeffs, sigma_fine, d_h, h_d)
 
 
-def check_homotopy_identity(space, coeffs, coarse, fine_cover, theta0, theta1,
-                            phi, budget=DEFAULT_BUDGET):
+def check_homotopy_identity(space, coeffs, coarse, fine_cover, theta0, theta1, phi):
     """theta1* - theta0* = dH + Hd, evaluated exactly on one cochain.
 
     Returns the pair of sides as cochains over sigma(fine) for inspection.
     """
     n = phi.degree
-    sU = SigmaCover(space, coarse, n + 1, budget)
-    sV = SigmaCover(space, fine_cover, n + 1, budget)
+    sU = SigmaCover(space, coarse, n + 1)
+    sV = SigmaCover(space, fine_cover, n + 1)
     lhs = _homotopy_side(space, coeffs, sU, sV, fine_cover, theta0, theta1, phi)
     r1 = refinement_map(space, coeffs, sU, sV, theta1, phi)
     r0 = refinement_map(space, coeffs, sU, sV, theta0, phi)
@@ -779,14 +751,13 @@ class ConstantComparison:
         return lhs, rhs
 
 
-def constant_space_comparison(n_points, level0_sets, group, top,
-                              budget=DEFAULT_BUDGET):
+def constant_space_comparison(n_points, level0_sets, group, top):
     """Set up the comparison maps for a constant space with a product cover."""
     space = ConstantSpace(n_points)
     coeffs = ConstantCoefficients(group)
-    cover = InducedSimplicialCover(space, level0_sets, budget)
+    cover = InducedSimplicialCover(space, level0_sets)
     if set().union(*cover.level0) != set(range(n_points)):
         raise ValueError("level-0 family does not cover the space")
-    sigma = SigmaCover(space, cover, top + 1, budget)
-    plain = SimplicialCoverComplex(space, cover, top + 1, budget)
+    sigma = SigmaCover(space, cover, top + 1)
+    plain = SimplicialCoverComplex(space, cover, top + 1)
     return ConstantComparison(space, coeffs, cover, sigma, plain)

@@ -309,18 +309,19 @@ def _search_lifts(E, twist):
                     return False
         return True
 
-    def backtrack(pos):
+    # backtrack takes itself: a closure over its own name is a reference cycle
+    def backtrack(backtrack, pos):
         if pos == len(nonunits):
             return True
         g = nonunits[pos]
         for cand in lifts[g]:
             assign[g] = cand
-            if check_partial(g) and backtrack(pos + 1):
+            if check_partial(g) and backtrack(backtrack, pos + 1):
                 return True
             del assign[g]
         return False
 
-    return assign if backtrack(0) else None
+    return assign if backtrack(backtrack, 0) else None
 
 
 def are_equivalent(E1, E2):

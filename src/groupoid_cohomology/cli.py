@@ -43,7 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .abelian import AbHom, FinAbGroup, IntegerMatrix, ShapeError
 from .cech import (
@@ -54,6 +54,7 @@ from .cech import (
     NerveSpace,
     cech_cohomology_on_cover,
     single_set_cover,
+    use_budget,
 )
 from .classify import (
     Extension,
@@ -379,9 +380,8 @@ _TASK_WORDS = {"validate": 1, "cohomology": 2, "ext": 1, "baer": 1, "strict-triv
                "cech": 3, "homotopy-check": 3}
 
 
-def run(doc, budget=None, max_degree=3, seed=0):
-    """Execute the document's tasks in order; returns (results, exit_code)."""
-    budget = budget or Budget()
+def run(doc, max_degree=3, seed=0):
+    """Run the document's tasks in order under the active budget; returns (results, exit_code)."""
     results = []
     G, A = doc.groupoid, doc.module
     classes_cache = {}
@@ -506,7 +506,7 @@ def run(doc, budget=None, max_degree=3, seed=0):
                 lines = []
                 rows = {}
                 for n in range(top + 1):
-                    left = cech_cohomology_on_cover(space, coeffs, cov, n, budget)
+                    left = cech_cohomology_on_cover(space, coeffs, cov, n)
                     right = cohomology(G, A, n)
                     same = left == right
                     ok = ok and same
@@ -547,8 +547,8 @@ def main(argv=None):
                     "extensions, Morita and Cech checks")
     parser.add_argument("--max-degree", type=int, default=3)
     parser.add_argument("--budget", type=int, default=None,
-                        help="one absolute cap for all three enumeration budgets: "
-                             "candidate indices, indices per point and cells")
+                        help="one absolute cap N for every enumeration budget, "
+                             "nerve levels and the Morita cover nerve included")
     parser.add_argument("--json", dest="json_path", default=None)
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -591,19 +591,13 @@ def main(argv=None):
     elif args.verb == "homotopy-check":
         doc.tasks = [(f"homotopy-check {args.seed} {args.count}", 0)]
 
-    budget = Budget()
-    if args.budget is not None:
-        budget = Budget(max_candidates=args.budget, max_per_point=args.budget,
-                        max_cells=args.budget)
+    caps = {} if args.budget is None else {f.name: args.budget for f in fields(Budget)}
     try:
-        results, code = run(doc, budget=budget, max_degree=args.max_degree,
-                            seed=args.seed)
+        with use_budget(Budget(**caps)):
+            results, code = run(doc, max_degree=args.max_degree, seed=args.seed)
     except DocumentError as exc:
         print(f"task error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
 
     for r in results:
         status = "ok" if r.ok else "FAIL"

@@ -12,12 +12,50 @@ built on top of them are reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 from dataclasses import dataclass, field
 
 
 class StructureError(ValueError):
     """Raised when raw groupoid data is malformed (dangling ids, bad shapes)."""
+
+
+class BudgetExceeded(RuntimeError):
+    def __init__(self, message, estimate=None):
+        super().__init__(message)
+        self.estimate = estimate
+
+
+@dataclass(frozen=True)
+class Budget:
+    """Caps on the exponential enumerations, each checked before it is built."""
+
+    max_candidates: int = 500_000
+    max_per_point: int = 20_000
+    max_cells: int = 200_000
+    max_cover_nerve: int = 3000
+
+
+DEFAULT_BUDGET = Budget()
+_ACTIVE_BUDGET = contextvars.ContextVar("active_budget", default=DEFAULT_BUDGET)
+
+
+@contextlib.contextmanager
+def use_budget(caps):
+    """Check every enumeration inside the block against the Budget `caps`."""
+    token = _ACTIVE_BUDGET.set(caps)
+    try:
+        yield caps
+    finally:
+        _ACTIVE_BUDGET.reset(token)
+
+
+def _guard(cap, size, message):
+    """Raise BudgetExceeded(message, estimate=size) if size > the active `cap`."""
+    if size > getattr(_ACTIVE_BUDGET.get(), cap):
+        raise BudgetExceeded(message, estimate=size)
 
 
 _FACE_CACHE = {}
@@ -183,10 +221,19 @@ class FiniteGroupoid:
             return (t.obj,)
         return (t.obj,) + tuple(self.src[g] for g in t.arrows)
 
+    def nerve_count(self, n):
+        """len(nerve(n)), for n >= 2 counted from level n - 1 without building
+        level n: each (n-1)-tuple extends by the arrows into its last source."""
+        if n in self._nerve_cache or n < 2:
+            return len(self.nerve(n))
+        into = [self.tgt.count(x) for x in self.objects()]
+        return sum([into[self.src[t.arrows[-1]]] for t in self.nerve(n - 1)])
+
     def nerve(self, n):
         """All composable n-tuples in lexicographic arrow order.
 
-        nerve(0) lists the objects, nerve(1) the arrows.
+        nerve(0) lists the objects, nerve(1) the arrows. A level n >= 2 is
+        counted before it is built and charged to the active `max_cells`.
         """
         if n < 0:
             raise ValueError("nerve level must be nonnegative")
@@ -197,6 +244,8 @@ class FiniteGroupoid:
         elif n == 1:
             out = [NerveTuple(self.tgt[g], (g,)) for g in self.arrows()]
         else:
+            count = self.nerve_count(n)
+            _guard("max_cells", count, f"nerve level {n} has {count} tuples")
             out = []
             for t in self.nerve(n - 1):
                 last = t.arrows[-1]

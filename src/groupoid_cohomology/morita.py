@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cech import BudgetExceeded
 from .cohomology import cohomology
 from .gmodule import pullback_module
-from .groupoid import cover_groupoid, memberships
+from .groupoid import _guard, cover_groupoid, memberships
 
 
 @dataclass
@@ -53,17 +52,16 @@ class MoritaReport:
         return out
 
 
-def morita_compare(G, A, sets, degrees=(0, 1, 2), max_nerve=3000,
-                   compare_ext=False):
+def morita_compare(G, A, sets, degrees=(0, 1, 2), compare_ext=False):
     """Compare H^n(G, A) with H^n(G[U], canon* A) degree by degree.
 
     With compare_ext and finite fibers, ext_left and ext_right are the
     numbers of extension classes, |H^2| of each side, read from the degree-2
     row or computed factors-only when 2 is not among the degrees.
 
-    Raises BudgetExceeded when the cover groupoid has more than max_nerve
-    tuples at the highest nerve level read: max(degrees) + 1, and at least
-    3 when the ext counts are taken.
+    Raises BudgetExceeded, before building it, when the highest nerve level
+    of the cover groupoid read, max(degrees) + 1 and at least 3 with the ext
+    counts, has more tuples than the active budget's `max_cover_nerve`.
     """
     cg = cover_groupoid(G, sets)
     H = cg.groupoid
@@ -71,10 +69,8 @@ def morita_compare(G, A, sets, degrees=(0, 1, 2), max_nerve=3000,
     # H^n reads the nerve up to level n + 1, and the ext count reads H^2;
     # nerve sizes never shrink with the level, so the top level bounds all
     top = max(max(degrees), 2 if ext else 0) + 1
-    if len(H.nerve(top)) > max_nerve:
-        raise BudgetExceeded(
-            f"cover groupoid nerve has {len(H.nerve(top))} tuples at level {top}",
-            len(H.nerve(top)))
+    count = H.nerve_count(top)
+    _guard("max_cover_nerve", count, f"cover groupoid nerve has {count} tuples at level {top}")
     pulled = pullback_module(cg.canon, A)
     report = MoritaReport()
     for n in degrees:

@@ -15,7 +15,6 @@ from math import gcd
 
 from .abelian import AbHom, FinAbGroup, IntegerMatrix
 from .cech import (
-    DEFAULT_BUDGET,
     ConstantSpace,
     Cover,
     InducedSimplicialCover,
@@ -139,7 +138,7 @@ def random_coarsening(rng, space, fine, top, max_sets=3):
     """
     levels = []
     for n in range(top + 1):
-        pieces = nonempty_pieces(space, fine, n, DEFAULT_BUDGET, "fine cover").values()
+        pieces = nonempty_pieces(space, fine, n, "fine cover").values()
         m = rng.randint(1, max_sets)
         sets = [set() for _ in range(m)]
         for piece in pieces:
@@ -155,7 +154,7 @@ def random_refinement_pair(rng, space, fine, coarse, top):
     t0, t1 = [], []
     for n in range(top + 1):
         d0, d1 = {}, {}
-        for j, piece in nonempty_pieces(space, fine, n, DEFAULT_BUDGET, "fine cover").items():
+        for j, piece in nonempty_pieces(space, fine, n, "fine cover").items():
             options = [i for i in coarse.indices(n) if coarse.set_of(n, i).issuperset(piece)]
             d0[j] = rng.choice(options)
             d1[j] = rng.choice(options)

@@ -27,6 +27,7 @@ from groupoid_cohomology.abelian import (
     InvariantFactors,
 )
 from groupoid_cohomology.cech import (
+    Budget,
     BudgetExceeded,
     MaximalSimplicialCover,
     ModuleCoefficients,
@@ -41,6 +42,7 @@ from groupoid_cohomology.cech import (
     ss_equal,
     ss_is_zero,
     ss_random,
+    use_budget,
 )
 from groupoid_cohomology.classify import (
     are_equivalent,
@@ -240,8 +242,8 @@ def test_criterion_7_morita_invariance():
         want_ext = (A.all_fibers_finite and ext_checked < 6
                     and G.n_arrows * max(f.size for f in A.fibers) <= 24)
         try:
-            rep = morita_compare(G, A, sets, degrees=(0, 1, 2), max_nerve=700,
-                                 compare_ext=want_ext)
+            with use_budget(Budget(max_cover_nerve=700)):
+                rep = morita_compare(G, A, sets, degrees=(0, 1, 2), compare_ext=want_ext)
         except BudgetExceeded:
             continue
         ok = ok and rep.ok

@@ -42,6 +42,7 @@ from groupoid_cohomology.cech import (
     ss_random,
     ss_sub,
     ss_zero,
+    use_budget,
 )
 from groupoid_cohomology.cohomology import cohomology, invariant_sections
 from groupoid_cohomology.gmodule import GModule, constant_module
@@ -97,22 +98,27 @@ def test_budget_rejection_reports_estimate():
     """Every overrun names its stage and estimates the size it refused."""
     space = ConstantSpace(3)
     cov = Cover.from_sets([[{0, 1, 2}] * 4 for _ in range(4)])
-    fam = SigmaCover(space, cov, 3, Budget(max_candidates=10, max_per_point=10,
-                                           max_cells=10))
+    fam = SigmaCover(space, cov, 3)
     c3 = NerveSpace(cyclic_group(3))
-    per_point = SigmaCover(c3, MaximalSimplicialCover(c3), 2, Budget(max_per_point=0))
+    per_point = SigmaCover(c3, MaximalSimplicialCover(c3), 2)
     z3 = ConstantCoefficients(FinAbGroup((3,)))
     c3_sigma = SigmaCover(c3, MaximalSimplicialCover(c3), 2)
-    for overrun, cap, stage in [
+    # sigma levels are checked when built, so build these under the default
+    # budget: only the assembly below is to meet max_cells=2
+    for n in range(3):
+        c3_sigma.indices(n)
+    for overrun, budget, cap, stage in [
         # every candidate index of a four-piece cover at level 2
-        (lambda: fam.all_lambda(2), 10, "sigma cover has"),
+        (lambda: fam.all_lambda(2), Budget(max_candidates=10, max_per_point=10, max_cells=10),
+         10, "sigma cover has"),
         # the sigma indices at one point of C3's nerve
-        (lambda: per_point.indices(1), 0, "too many nonempty sigma indices per point"),
+        (lambda: per_point.indices(1), Budget(max_per_point=0), 0,
+         "too many nonempty sigma indices per point"),
         # the coordinates of one level of an assembled complex
-        (lambda: assemble_complex(c3, z3, c3_sigma, 2, Budget(max_cells=2)), 2,
+        (lambda: assemble_complex(c3, z3, c3_sigma, 2), Budget(max_cells=2), 2,
          "complex level 1"),
     ]:
-        with pytest.raises(BudgetExceeded, match=stage) as err:
+        with use_budget(budget), pytest.raises(BudgetExceeded, match=stage) as err:
             overrun()
         assert err.value.estimate is not None and err.value.estimate > cap, stage
 
@@ -122,8 +128,8 @@ def test_cover_complex_honours_the_cell_budget():
     cover = InducedSimplicialCover(space, [{0, 1}, {1, 2}, {0, 2}])
     fam = SimplicialCoverComplex(space, cover, 2)
     assert sum(len(fam.points_of(2, label)) for label in fam.indices(2)) == 24
-    capped = SimplicialCoverComplex(space, cover, 2, Budget(max_cells=5))
-    with pytest.raises(BudgetExceeded) as err:
+    capped = SimplicialCoverComplex(space, cover, 2)
+    with use_budget(Budget(max_cells=5)), pytest.raises(BudgetExceeded) as err:
         capped.indices(2)
     assert err.value.estimate == 24
 

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import itertools
 import random
 
@@ -40,7 +42,7 @@ from groupoid_cohomology.cohomology import (
     are_cohomologous,
 )
 from groupoid_cohomology.gmodule import GModule, constant_module
-from groupoid_cohomology.groupoid import cyclic_group, unit_groupoid
+from groupoid_cohomology.groupoid import FiniteGroupoid, cyclic_group, unit_groupoid
 from groupoid_cohomology.randomized import random_instance
 
 C2 = cyclic_group(2)
@@ -98,6 +100,57 @@ def test_nonsplit_extension_is_z4():
     assert max(orders) == 4
     assert is_strictly_trivial(E) is None
     assert are_equivalent(E, strictly_trivial_extension(C2, A22)) is None
+
+
+def _swapped(table, k1, k2):
+    out = dict(table)
+    out[k1], out[k2] = table[k2], table[k1]
+    return out
+
+
+def _swapped_compose(E, k1, k2):
+    T = E.total
+    return dataclasses.replace(E, total=FiniteGroupoid(
+        T.n_objects, T.src, T.tgt, T.unit, _swapped(T.comp, k1, k2), T.inv))
+
+
+def _swapped_inj(E, k1, k2):
+    return dataclasses.replace(E, inj=_swapped(E.inj, k1, k2))
+
+
+@pytest.mark.parametrize("corrupt, failure", [
+    # (0, s)(0, s) = (1, e) and (0, s)(1, s) = (0, e) exchanged
+    (lambda: _swapped_compose(nonsplit_extension()[1], (2, 2), (2, 3)),
+     "total: associativity fails"),
+    (lambda: dataclasses.replace(nonsplit_extension()[1], proj=(0, 1, 0, 1)),
+     "proj not multiplicative"),
+    # inj(1) and inj(2) exchanged in Z/4: inj(1) + inj(1) = inj(0) != inj(2)
+    (lambda: _swapped_inj(strictly_trivial_extension(C2, constant_module(C2, FinAbGroup((4,)))),
+                          (0, (1,)), (0, (2,))),
+     "inj not additive at object 0"),
+    # the total of C2 acting by -1 on Z/3, declared over the trivial action
+    (lambda: dataclasses.replace(strictly_trivial_extension(C2, negation_module()),
+                                 module=constant_module(C2, Z3)),
+     "conjugation law fails"),
+])
+def test_validate_extension_names_the_failure(corrupt, failure):
+    rep = validate_extension(corrupt())
+    assert not rep.ok
+    assert any(f.startswith(failure) for f in rep.failures), rep.failures
+
+
+def test_lift_search_leaves_no_reference_cycle():
+    _, E = nonsplit_extension()
+    split = strictly_trivial_extension(C2, A22)
+    gc.collect()
+    gc.disable()
+    try:
+        for search in (lambda: is_strictly_trivial(E), lambda: is_strictly_trivial(split),
+                       lambda: are_equivalent(E, E), lambda: are_equivalent(E, split)):
+            search()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_extension_rejects_non_cocycle():
@@ -576,3 +629,26 @@ def test_torsor_rejects_non_cocycle():
     assert not is_cocycle(C2, A22, non)
     with pytest.raises(NotACocycleError):
         torsor_from_cocycle(C2, A22, non)
+
+
+def _torsor_with(T, **tables):
+    return dataclasses.replace(T, **{k: {**getattr(T, k), **v} for k, v in tables.items()})
+
+
+@pytest.mark.parametrize("corrupt, failure", [
+    # the generator fixes every point, though it acts on Z/3 by -1
+    (lambda: _torsor_with(trivial_torsor(C2, negation_module()),
+                          g_act={(1, p): p for p in range(3)}),
+     "equivariance g(p+a) = gp + g.a fails"),
+    (lambda: _torsor_with(torsor_from_cocycle(C2, A22, make_cochain(C2, A22, 1, [(0,), (1,)])),
+                          g_act={(0, 0): 1}),
+     "unit does not fix point 0"),
+    (lambda: _torsor_with(trivial_torsor(C2, negation_module()), plus={(0, (1,)): 0}),
+     "action not free and transitive"),
+    (lambda: dataclasses.replace(trivial_torsor(C2, A22), g_act={(0, 0): 0, (0, 1): 1}),
+     "arrow action domain wrong at (1,0)"),
+])
+def test_validate_torsor_names_the_failure(corrupt, failure):
+    rep = validate_torsor(corrupt())
+    assert not rep.ok
+    assert any(f.startswith(failure) for f in rep.failures), rep.failures

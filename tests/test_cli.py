@@ -344,6 +344,19 @@ task: validate
     assert main(["run", str(path)]) == 1
 
 
+def test_budget_reaches_cohomology_and_morita_tasks(tmp_path, capsys):
+    path = tmp_path / "doc.gpd"
+    path.write_text("groupoid: cyclic 3\nmodule: constant 3\n"
+                    "task: cohomology 0..3\ntask: morita 0|0\n")
+    assert main(["run", str(path)]) == 0
+    assert main(["--budget", "5", "run", str(path)]) == 3
+    assert "budget exceeded: nerve level 2 has 9 tuples" in capsys.readouterr().out
+    # the 12-arrow cover groupoid of C3 has 12 * 6 * 6 tuples at level 3
+    path.write_text("groupoid: cyclic 3\nmodule: constant 3\ntask: morita 0|0\n")
+    assert main(["--budget", "400", "run", str(path)]) == 3
+    assert "cover groupoid nerve has 432 tuples at level 3" in capsys.readouterr().out
+
+
 def test_budget_exit_code(tmp_path):
     path = tmp_path / "doc.gpd"
     path.write_text("groupoid: cyclic 6\nmodule: constant 2\ntask: morita 0|0|0\n")

@@ -1,6 +1,7 @@
 import importlib
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_force_group_cohomology,
@@ -30,6 +31,7 @@ from groupoid_cohomology.cohomology import (
 )
 from groupoid_cohomology.gmodule import GModule, constant_module, pullback_module
 from groupoid_cohomology.groupoid import (
+    BudgetExceeded,
     FiniteGroupoid,
     GroupoidMorphism,
     cyclic_group,
@@ -373,3 +375,14 @@ def test_factors_only_c8_degree_three_is_bounded():
     with time_limit(1.2):
         got = cohomology(C8, constant_module(C8, FinAbGroup((8,))), 3)
     assert got == InvariantFactors((8,), 0)
+
+
+def test_nerve_levels_are_charged_to_the_cell_budget():
+    # H^6 reads nerve levels 5 to 7; level 6 of C8 has 8^6 > 200,000 tuples,
+    # counted from level 5 and refused before it is built
+    C8 = cyclic_group(8)
+    with pytest.raises(BudgetExceeded, match="nerve level 6 has 262144 tuples") as err:
+        cohomology(C8, constant_module(C8, FinAbGroup((8,))), 6)
+    assert err.value.estimate == 262_144
+    built = {k for k in C8._nerve_cache if isinstance(k, int)}
+    assert 5 in built and built <= set(range(6))

@@ -267,3 +267,13 @@ def test_disjoint_union():
     assert validate(G).ok
     assert inc1.is_morphism() and inc2.is_morphism()
     assert G.n_arrows == 4 and G.n_objects == 3
+
+
+def test_nerve_count_precedes_the_level():
+    rng = random.Random(3)
+    for _ in range(10):
+        G, _ = random_instance(rng, max_arrows=8)
+        for n in range(4):
+            count = G.nerve_count(n)
+            assert n < 2 or n not in G._nerve_cache  # counted, not built
+            assert count == len(G.nerve(n)) == G.nerve_count(n)

@@ -4,9 +4,9 @@ import pytest
 
 from timing import time_limit
 
-from groupoid_cohomology import abelian
+from groupoid_cohomology import abelian, morita
 from groupoid_cohomology.abelian import AbHom, FinAbGroup, IntegerMatrix
-from groupoid_cohomology.cech import BudgetExceeded
+from groupoid_cohomology.cech import Budget, BudgetExceeded, use_budget
 from groupoid_cohomology.classify import ext_classes, is_strictly_trivial
 from groupoid_cohomology.cli import parse, run
 from groupoid_cohomology.cohomology import (
@@ -63,7 +63,8 @@ def test_randomized_morita():
         G, A = random_instance(rng, max_arrows=6)
         sets = random_object_cover(rng, G, max_sets=2)
         try:
-            rep = morita_compare(G, A, sets, degrees=(0, 1, 2), max_nerve=700)
+            with use_budget(Budget(max_cover_nerve=700)):
+                rep = morita_compare(G, A, sets, degrees=(0, 1, 2))
         except BudgetExceeded:
             continue
         assert rep.ok, rep.lines()
@@ -73,8 +74,8 @@ def test_randomized_morita():
 def test_budget_rejection():
     C6 = cyclic_group(6)
     A = constant_module(C6, FinAbGroup((2,)))
-    with pytest.raises(BudgetExceeded):
-        morita_compare(C6, A, [{0}, {0}, {0}], max_nerve=100)
+    with use_budget(Budget(max_cover_nerve=100)), pytest.raises(BudgetExceeded):
+        morita_compare(C6, A, [{0}, {0}, {0}])
 
 
 def test_ext_count_is_budgeted_at_level_three():
@@ -82,10 +83,26 @@ def test_ext_count_is_budgeted_at_level_three():
     # reads the level-3 nerve (64 tuples for C4)
     C4 = cyclic_group(4)
     A = constant_module(C4, FinAbGroup((4,)))
-    with pytest.raises(BudgetExceeded, match="nerve has 64 tuples at level 3") as err:
-        morita_compare(C4, A, [{0}], degrees=(0, 1), max_nerve=20, compare_ext=True)
-    assert err.value.estimate == 64
-    assert morita_compare(C4, A, [{0}], degrees=(0, 1), max_nerve=20).ok
+    with use_budget(Budget(max_cover_nerve=20)):
+        with pytest.raises(BudgetExceeded, match="nerve has 64 tuples at level 3") as err:
+            morita_compare(C4, A, [{0}], degrees=(0, 1), compare_ext=True)
+        assert err.value.estimate == 64
+        assert morita_compare(C4, A, [{0}], degrees=(0, 1)).ok
+
+
+def test_refused_cover_nerve_level_is_never_built(monkeypatch):
+    built = []
+
+    def recording_cover_groupoid(G, sets):
+        built.append(cover_groupoid(G, sets))
+        return built[-1]
+
+    monkeypatch.setattr(morita, "cover_groupoid", recording_cover_groupoid)
+    C6 = cyclic_group(6)
+    with use_budget(Budget(max_cover_nerve=100)):
+        with pytest.raises(BudgetExceeded, match="nerve has 17496 tuples at level 3"):
+            morita_compare(C6, constant_module(C6, FinAbGroup((2,))), [{0}, {0}, {0}])
+    assert 3 not in built[0].groupoid._nerve_cache
 
 
 def test_cover_nerve_structure_counts():
@@ -115,7 +132,8 @@ def test_ext_counts_match_ext_classes():
         sets = random_object_cover(rng, G, max_sets=2)
         degrees = (0, 1) if done % 2 else (0, 1, 2)
         try:
-            rep = morita_compare(G, A, sets, degrees=degrees, max_nerve=300, compare_ext=True)
+            with use_budget(Budget(max_cover_nerve=300)):
+                rep = morita_compare(G, A, sets, degrees=degrees, compare_ext=True)
         except BudgetExceeded:
             continue
         cg = cover_groupoid(G, sets)
