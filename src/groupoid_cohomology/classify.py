@@ -13,7 +13,8 @@ cocycles are accepted throughout, so the unit over x is (-phi(x, x), x).
 
 A section sigma of the projection gives one chart, e = i(a) sigma(proj e)
 for each arrow e of the total. The cocycle of sigma, the arrow map of an
-equivalence and the retraction of a split extension are all read from it.
+equivalence, the retraction of a split extension and the least pair of each
+Baer orbit (sigma the least lifts, `fibers` of proj) are all read from it.
 Both searches (equivalence, split section) are one backtracking search for
 sigma with sigma(u) sigma(v) = i(phi(u, v)) sigma(uv): phi is the canonical
 cocycle of the source for an equivalence and 0 for a split section. Covered
@@ -38,7 +39,7 @@ from .cohomology import (
     make_cochain,
     zero_cochain,
 )
-from .groupoid import FiniteGroupoid, GroupoidMorphism, Report, memberships, validate
+from .groupoid import FiniteGroupoid, GroupoidMorphism, Report, fibers, memberships, validate
 
 
 class NotACocycleError(ValueError):
@@ -105,7 +106,7 @@ class Extension:
     arrow_pairs: tuple | None = None
 
     def lifts(self, g):
-        return [e for e in self.total.arrows() if self.proj[e] == g]
+        return fibers(self.proj, self.base.n_arrows)[g]
 
     def act_coefficient(self, a, x, e):
         """i(a) * e, for a in the fiber at x = r(e)."""
@@ -154,15 +155,9 @@ def validate_extension(E):
             image.add(e)
         if E.inj.get((x, fib.zero())) != T.unit[x]:
             fails.append(f"inj(0) is not the unit at object {x}")
-        for a in fib.elements():
-            for b in fib.elements():
-                lhs = T.comp.get((E.inj[(x, a)], E.inj[(x, b)]))
-                if lhs != E.inj[(x, fib.add(a, b))]:
-                    fails.append(f"inj not additive at object {x}")
-                    break
-            else:
-                continue
-            break
+        if any(T.comp.get((E.inj[(x, a)], E.inj[(x, b)])) != E.inj[(x, fib.add(a, b))]
+               for a in fib.elements() for b in fib.elements()):
+            fails.append(f"inj not additive at object {x}")
     if image != kernel:
         fails.append("exactness fails: proj^{-1}(units) != image of inj")
     # conjugation law: gamma a gamma^{-1} = pi(gamma) . a
@@ -199,12 +194,11 @@ def extension_from_cocycle(G, A, phi):
         pairs.extend((g, a) for a in F[G.tgt[g]].elements)
     act = [[F[G.tgt[g]].position[A.act(g, b)] for b in F[G.src[g]].elements]
            for g in G.arrows()]
-    phi_at, after = {}, [[] for _ in G.arrows()]
+    phi_at = {}
     for t, v in zip(G.nerve(2), phi.values):
         g, h = t.arrows
         x = G.tgt[g]
         phi_at[g, h] = F[x].position[A.fiber(x).reduce(v)]
-        after[g].append(h)
     phixx = [phi_at[e, e] for e in G.unit]
 
     unit = [offset[G.unit[x]] + F[x].neg[phixx[x]] for x in G.objects()]
@@ -213,7 +207,7 @@ def extension_from_cocycle(G, A, phi):
         add_r = F[G.tgt[g]].add
         # per composable h: offsets of h and gh, and g.b + phi(g, h) for each b
         rows = [(offset[h], offset[G.comp[g, h]],
-                 [add_r[s][phi_at[g, h]] for s in act[g]]) for h in after[g]]
+                 [add_r[s][phi_at[g, h]] for s in act[g]]) for h in G.into[G.src[g]]]
         for i, add_i in enumerate(add_r):
             e = offset[g] + i
             for off_h, off_gh, shifted in rows:
@@ -246,8 +240,7 @@ def strictly_trivial_extension(G, A):
 def canonical_section(E):
     """The smallest lift of each base arrow, with units lifted to units."""
     out = []
-    for g in E.base.arrows():
-        lifts = E.lifts(g)
+    for g, lifts in enumerate(fibers(E.proj, E.base.n_arrows)):
         if not lifts:
             raise ValueError(f"proj misses the arrow {g}")
         out.append(lifts[0])
@@ -293,9 +286,7 @@ def _search_lifts(E, twist):
     """
     G, T = E.base, E.total
     comp = T.comp
-    lifts = [[] for _ in G.arrows()]
-    for e, g in enumerate(E.proj):
-        lifts[g].append(e)
+    lifts = fibers(E.proj, G.n_arrows)
     units = set(G.unit)
     nonunits = [g for g in G.arrows() if g not in units]
     assign = {G.unit[x]: T.unit[x] for x in G.objects()}
@@ -362,46 +353,41 @@ def are_equivalent(E1, E2):
 
 
 def baer_sum(E1, E2):
-    """The sum of extensions: the fiber product over G modulo (a.x, y) ~ (x, a.y)."""
+    """The sum of extensions: the fiber product over G modulo (a.x, y) ~ (x, a.y).
+
+    With e1 = i(a) least(g), a read from the chart of the least lifts in E1,
+    the orbit of (e1, e2) has its least pair at (least(g), i(a) e2).
+    """
     G, A = E1.base, E1.module
     if E2.base is not G and E2.base.comp != G.comp:
         raise ShapeError("extensions live over different groupoids")
     if tuple(f.orders for f in E1.module.fibers) != tuple(f.orders for f in E2.module.fibers):
         raise ShapeError("extensions have different coefficient modules")
     T1, T2 = E1.total, E2.total
+    least = [lifts[0] for lifts in fibers(E1.proj, G.n_arrows)]
+    chart = _coordinates(E1, least)
 
     def orbit_rep(e1, e2):
-        x = T1.tgt[e1]
-        best = (e1, e2)
-        for a in A.fiber(x).elements():
-            cand = (E1.act_coefficient(A.fiber(x).neg(a), x, e1),
-                    E2.act_coefficient(a, x, e2))
-            if cand < best:
-                best = cand
-        return best
+        return least[E1.proj[e1]], T2.comp[E2.inj[T2.tgt[e2], chart[e1]], e2]
 
-    reps = sorted({orbit_rep(e1, e2)
-                   for e1 in T1.arrows() for e2 in T2.arrows()
-                   if E1.proj[e1] == E2.proj[e2]})
+    reps = sorted((least[g], e2) for e2, g in enumerate(E2.proj))
     aid = {p: i for i, p in enumerate(reps)}
     src = [T1.src[e1] for (e1, e2) in reps]
     tgt = [T1.tgt[e1] for (e1, e2) in reps]
     unit = [aid[orbit_rep(T1.unit[x], T2.unit[x])] for x in G.objects()]
+    into = fibers(tgt, G.n_objects)
     comp = {}
-    for (e1, e2) in reps:
-        for (f1, f2) in reps:
-            if T1.is_composable(e1, f1):
-                comp[(aid[(e1, e2)], aid[(f1, f2)])] = aid[
-                    orbit_rep(T1.compose(e1, f1), T2.compose(e2, f2))]
+    for i, (e1, e2) in enumerate(reps):
+        for j in into[src[i]]:
+            f1, f2 = reps[j]
+            comp[i, j] = aid[orbit_rep(T1.comp[e1, f1], T2.comp[e2, f2])]
     inv = [aid[orbit_rep(T1.inv[e1], T2.inv[e2])] for (e1, e2) in reps]
     labels = [f"<{T1.arrow_labels[e1]};{T2.arrow_labels[e2]}>" for (e1, e2) in reps]
     total = FiniteGroupoid(G.n_objects, src, tgt, unit, comp, inv,
                            object_labels=G.object_labels, arrow_labels=labels)
     proj = tuple(E1.proj[e1] for (e1, e2) in reps)
-    inj = {}
-    for x in G.objects():
-        for a in A.fiber(x).elements():
-            inj[(x, a)] = aid[orbit_rep(E1.inj[(x, a)], T2.unit[x])]
+    inj = {(x, a): aid[orbit_rep(E1.inj[(x, a)], T2.unit[x])]
+           for x in G.objects() for a in A.fiber(x).elements()}
     return Extension(G, A, total, proj, inj)
 
 
@@ -648,8 +634,7 @@ class EquivariantTorsor:
 def validate_torsor(T):
     G, A = T.base, T.module
     fails = []
-    fibers = {x: [p for p in range(T.n_points) if T.anchor[p] == x] for x in G.objects()}
-    for x, pts in fibers.items():
+    for x, pts in enumerate(fibers(T.anchor, G.n_objects)):
         fib = A.fiber(x)
         if not pts:
             fails.append(f"empty fiber over object {x}")
@@ -670,24 +655,23 @@ def validate_torsor(T):
             for q in pts:
                 if sum(1 for a in fib.elements() if T.translate(p, a) == q) != 1:
                     fails.append(f"action not free and transitive between {p} and {q}")
-    for g in G.arrows():
-        for p in range(T.n_points):
-            defined = (g, p) in T.g_act
-            if defined != (T.anchor[p] == G.src[g]):
-                fails.append(f"arrow action domain wrong at ({g},{p})")
+    for g, p in itertools.product(G.arrows(), range(T.n_points)):
+        if ((g, p) in T.g_act) != (T.anchor[p] == G.src[g]):
+            fails.append(f"arrow action domain wrong at ({g},{p})")
     if fails:
         return Report(False, fails)
     for (g, p), q in T.g_act.items():
         if T.anchor[q] != G.tgt[g]:
             fails.append(f"anchor(g p) != r(g) at ({g},{p})")
+    if fails:
+        return Report(False, fails)
     for p in range(T.n_points):
         if T.g_act[(G.unit[T.anchor[p]], p)] != p:
             fails.append(f"unit does not fix point {p}")
     for (h, p), hp in T.g_act.items():
-        for g in G.arrows():
-            if G.is_composable(g, h):
-                if T.g_act[(G.compose(g, h), p)] != T.g_act[(g, hp)]:
-                    fails.append(f"(gh)p != g(hp) at arrow pair ({g},{h}), point {p}")
+        for g in G.out[G.tgt[h]]:
+            if T.g_act[(G.compose(g, h), p)] != T.g_act[(g, hp)]:
+                fails.append(f"(gh)p != g(hp) at arrow pair ({g},{h}), point {p}")
     for (g, p), q in T.g_act.items():
         fib = A.fiber(G.src[g])
         for a in fib.elements():

@@ -561,6 +561,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.budget is not None and args.budget < 1:
         parser.error(f"--budget must be at least 1, got {args.budget}")
+    if args.max_degree < 0:
+        parser.error(f"--max-degree must be at least 0, got {args.max_degree}")
 
     try:
         with open(args.document, encoding="utf-8") as fh:

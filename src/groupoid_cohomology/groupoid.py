@@ -2,8 +2,9 @@
 
 A groupoid is stored extensionally: interned integer ids for objects and
 arrows, total source/target/unit/inverse tables and a partial composition
-table. comp(g, h) = g*h is defined exactly when s(g) = r(h); an arrow g runs
-from the object s(g) to the object r(g).
+table. An arrow g runs from the object s(g) to the object r(g), and g*h is
+defined exactly when s(g) = r(h), that is, when h is in `into[s(g)]`, the
+arrows into s(g); nerves, checks and builders walk `into` and `out`.
 
 Nerve levels, faces, degeneracies and the action of arbitrary monotone maps
 are all enumerated deterministically (lexicographic by arrow id), so matrices
@@ -215,6 +216,20 @@ class FiniteGroupoid:
     def is_composable(self, g, h):
         return self.src[g] == self.tgt[h]
 
+    @property
+    def into(self):
+        """Per object, the increasing arrows into it: g * h is defined iff h in into[s(g)]."""
+        if "into" not in self._nerve_cache:
+            self._nerve_cache["into"] = fibers(self.tgt, self.n_objects)
+        return self._nerve_cache["into"]
+
+    @property
+    def out(self):
+        """Per object, the increasing arrows out of it: g * h is defined iff g in out[r(h)]."""
+        if "out" not in self._nerve_cache:
+            self._nerve_cache["out"] = fibers(self.src, self.n_objects)
+        return self._nerve_cache["out"]
+
     def vertices(self, t):
         """Objects x0, ..., xn along a nerve tuple."""
         if t.level == 0:
@@ -226,13 +241,14 @@ class FiniteGroupoid:
         level n: each (n-1)-tuple extends by the arrows into its last source."""
         if n in self._nerve_cache or n < 2:
             return len(self.nerve(n))
-        into = [self.tgt.count(x) for x in self.objects()]
-        return sum([into[self.src[t.arrows[-1]]] for t in self.nerve(n - 1)])
+        into, src = self.into, self.src
+        return sum([len(into[src[t.arrows[-1]]]) for t in self.nerve(n - 1)])
 
     def nerve(self, n):
         """All composable n-tuples in lexicographic arrow order.
 
-        nerve(0) lists the objects, nerve(1) the arrows. A level n >= 2 is
+        nerve(0) lists the objects, nerve(1) the arrows. Level n >= 2 extends
+        each (n-1)-tuple in order by the arrows into its last source; it is
         counted before it is built and charged to the active `max_cells`.
         """
         if n < 0:
@@ -246,13 +262,9 @@ class FiniteGroupoid:
         else:
             count = self.nerve_count(n)
             _guard("max_cells", count, f"nerve level {n} has {count} tuples")
-            out = []
-            for t in self.nerve(n - 1):
-                last = t.arrows[-1]
-                for g in self.arrows():
-                    if self.tgt[g] == self.src[last]:
-                        out.append(NerveTuple(t.obj, t.arrows + (g,)))
-            out.sort(key=lambda t: t.arrows)
+            into, src = self.into, self.src
+            out = [NerveTuple(t.obj, t.arrows + (g,))
+                   for t in self.nerve(n - 1) for g in into[src[t.arrows[-1]]]]
         self._nerve_cache[n] = out
         return out
 
@@ -316,23 +328,18 @@ def validate(G):
     """
     fails = []
     # composition is defined exactly on composable pairs
-    for g in G.arrows():
-        for h in G.arrows():
-            defined = (g, h) in G.comp
-            if defined != G.is_composable(g, h):
-                fails.append(f"comp defined on ({g},{h}) iff composable violated")
+    for g, h in itertools.product(G.arrows(), repeat=2):
+        if ((g, h) in G.comp) != G.is_composable(g, h):
+            fails.append(f"comp defined on ({g},{h}) iff composable violated")
     for (g, h), gh in G.comp.items():
         if G.tgt[gh] != G.tgt[g] or G.src[gh] != G.src[h]:
             fails.append(f"range/source of product wrong at ({g},{h})")
-    # associativity
+    # associativity; a missing product is reported above, so look up with get
+    product, into = G.comp.get, G.into
     for g in G.arrows():
-        for h in G.arrows():
-            if not G.is_composable(g, h):
-                continue
-            for k in G.arrows():
-                if not G.is_composable(h, k):
-                    continue
-                if G.comp[(G.comp[(g, h)], k)] != G.comp[(g, G.comp[(h, k)])]:
+        for h in into[G.src[g]]:
+            for k in into[G.src[h]]:
+                if product((product((g, h)), k)) != product((g, product((h, k)))):
                     fails.append(f"associativity fails at ({g},{h},{k})")
     # units
     for x in G.objects():
@@ -498,10 +505,9 @@ def action_groupoid(G, n_points, anchor, act):
     if len(anchor) != n_points:
         raise StructureError("need one anchor object per point")
     act = {(int(g), int(z)): int(w) for (g, z), w in act.items()}
-    for g in G.arrows():
-        for z in range(n_points):
-            if (G.src[g] == anchor[z]) != ((g, z) in act):
-                raise ValueError("action must be defined exactly when s(g) = p(z)")
+    for g, z in itertools.product(G.arrows(), range(n_points)):
+        if (G.src[g] == anchor[z]) != ((g, z) in act):
+            raise ValueError("action must be defined exactly when s(g) = p(z)")
     for (g, z), w in act.items():
         if anchor[w] != G.tgt[g]:
             raise ValueError("axiom p(gz) = r(g) violated")
@@ -509,21 +515,21 @@ def action_groupoid(G, n_points, anchor, act):
         if act[(G.unit[anchor[z]], z)] != z:
             raise ValueError("axiom e z = z violated")
     for (h, z), hz in act.items():
-        for g in G.arrows():
-            if G.is_composable(g, h):
-                if act[(G.compose(g, h), z)] != act[(g, hz)]:
-                    raise ValueError("axiom (gh)z = g(hz) violated")
+        for g in G.out[G.tgt[h]]:
+            if act[(G.compose(g, h), z)] != act[(g, hz)]:
+                raise ValueError("axiom (gh)z = g(hz) violated")
 
     pairs = sorted((g, z) for (g, z) in act)
     aid = {p: i for i, p in enumerate(pairs)}
     src = [z for (g, z) in pairs]
     tgt = [act[(g, z)] for (g, z) in pairs]
     unit = [aid[(G.unit[anchor[z]], z)] for z in range(n_points)]
+    into = fibers(tgt, n_points)  # (g, z)(h, w) is defined when h w = z
     comp = {}
-    for (g, z) in pairs:
-        for (h, w) in pairs:
-            if z == act[(h, w)] and G.is_composable(g, h):
-                comp[(aid[(g, z)], aid[(h, w)])] = aid[(G.compose(g, h), w)]
+    for i, (g, z) in enumerate(pairs):
+        for j in into[z]:
+            h, w = pairs[j]
+            comp[i, j] = aid[(G.compose(g, h), w)]
     inv = [aid[(G.inv[g], act[(g, z)])] for (g, z) in pairs]
     labels = [f"({G.arrow_labels[g]},{z})" for (g, z) in pairs]
     return FiniteGroupoid(n_points, src, tgt, unit, comp, inv, arrow_labels=labels)
@@ -569,6 +575,14 @@ class CoverGroupoid:
     arrow_triples: tuple[tuple[int, int, int], ...]
 
 
+def fibers(values, size):
+    """For each v in range(size), the increasing positions i with values[i] == v."""
+    out = [[] for _ in range(size)]
+    for i, v in enumerate(values):
+        out[v].append(i)
+    return out
+
+
 def memberships(n, sets):
     """For each element 0, ..., n-1, the increasing indices of the sets that contain it."""
     return tuple(tuple(i for i, s in enumerate(sets) if x in s) for x in range(n))
@@ -597,10 +611,9 @@ def cover_groupoid(G, sets):
     src = [oid[(j, G.src[g])] for (i, g, j) in arrows]
     tgt = [oid[(i, G.tgt[g])] for (i, g, j) in arrows]
     unit = [aid[(i, G.unit[x], i)] for (i, x) in objects]
-    into = [[h for h in G.arrows() if G.tgt[h] == x] for x in G.objects()]
     comp = {}
     for n, (i, g, j) in enumerate(arrows):
-        for h in into[G.src[g]]:
+        for h in G.into[G.src[g]]:
             for k in pieces[G.src[h]]:
                 comp[n, aid[(j, h, k)]] = aid[(i, G.comp[g, h], k)]
     inv = [aid[(j, G.inv[g], i)] for (i, g, j) in arrows]

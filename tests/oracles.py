@@ -6,9 +6,10 @@ alternating-sum formula written out from scratch; quotient group types are
 recovered from element orders alone. The groupoid differential and the
 extension builder have face-by-face and pair-by-pair references here, on
 `groupoid.face`, FinAbGroup arithmetic and the module action only. The
-coboundary assembler and the unit-pivot elimination have reference
-versions too: a dense assembler into row lists, and the elimination with
-the bucket-scan pivot search that the heap replaced.
+Baer sum has one that finds each orbit representative by scanning the
+coefficient fiber. The coboundary assembler and the unit-pivot elimination
+have reference versions too: a dense assembler into row lists, and the
+elimination with the bucket-scan pivot search that the heap replaced.
 """
 
 from __future__ import annotations
@@ -343,6 +344,48 @@ def extension_from_cocycle_by_pairs(G, A, phi):
         for a in fib.elements():
             inj[(x, a)] = aid[(G.unit[x], fib.sub(a, phixx(x)))]
     return Extension(G, A, total, proj, inj, arrow_pairs=tuple(pairs))
+
+
+def baer_sum_by_orbits(E1, E2):
+    """The Baer sum with each orbit of the fiber product found by scanning
+    the coefficient fiber: its least pair over every i(-a) e1, i(a) e2, on
+    pairs of arrows with equal projections filtered from all pairs."""
+    G, A = E1.base, E1.module
+    T1, T2 = E1.total, E2.total
+
+    def orbit_rep(e1, e2):
+        x = T1.tgt[e1]
+        best = (e1, e2)
+        for a in A.fiber(x).elements():
+            cand = (E1.act_coefficient(A.fiber(x).neg(a), x, e1),
+                    E2.act_coefficient(a, x, e2))
+            if cand < best:
+                best = cand
+        return best
+
+    reps = sorted({orbit_rep(e1, e2)
+                   for e1 in T1.arrows() for e2 in T2.arrows()
+                   if E1.proj[e1] == E2.proj[e2]})
+    aid = {p: i for i, p in enumerate(reps)}
+    src = [T1.src[e1] for (e1, e2) in reps]
+    tgt = [T1.tgt[e1] for (e1, e2) in reps]
+    unit = [aid[orbit_rep(T1.unit[x], T2.unit[x])] for x in G.objects()]
+    comp = {}
+    for (e1, e2) in reps:
+        for (f1, f2) in reps:
+            if T1.is_composable(e1, f1):
+                comp[(aid[(e1, e2)], aid[(f1, f2)])] = aid[
+                    orbit_rep(T1.compose(e1, f1), T2.compose(e2, f2))]
+    inv = [aid[orbit_rep(T1.inv[e1], T2.inv[e2])] for (e1, e2) in reps]
+    labels = [f"<{T1.arrow_labels[e1]};{T2.arrow_labels[e2]}>" for (e1, e2) in reps]
+    total = FiniteGroupoid(G.n_objects, src, tgt, unit, comp, inv,
+                           object_labels=G.object_labels, arrow_labels=labels)
+    proj = tuple(E1.proj[e1] for (e1, e2) in reps)
+    inj = {}
+    for x in G.objects():
+        for a in A.fiber(x).elements():
+            inj[(x, a)] = aid[orbit_rep(E1.inj[(x, a)], T2.unit[x])]
+    return Extension(G, A, total, proj, inj)
 
 
 def dense_coboundary(source_fibers, target_fibers, table):

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from oracles import extension_from_cocycle_by_pairs
+from oracles import baer_sum_by_orbits, extension_from_cocycle_by_pairs
 from test_morita import TWO_FIBER
 
 from groupoid_cohomology.abelian import AbHom, FinAbGroup, IntegerMatrix, InvariantFactors
@@ -31,6 +31,7 @@ from groupoid_cohomology.classify import (
 )
 from groupoid_cohomology.cohomology import (
     Cochain,
+    cochain_add,
     cochain_sub,
     differential,
     is_coboundary,
@@ -42,7 +43,7 @@ from groupoid_cohomology.cohomology import (
     are_cohomologous,
 )
 from groupoid_cohomology.gmodule import GModule, constant_module
-from groupoid_cohomology.groupoid import FiniteGroupoid, cyclic_group, unit_groupoid
+from groupoid_cohomology.groupoid import FiniteGroupoid, cyclic_group, pair_groupoid, unit_groupoid
 from groupoid_cohomology.randomized import random_instance
 
 C2 = cyclic_group(2)
@@ -137,6 +138,25 @@ def test_validate_extension_names_the_failure(corrupt, failure):
     rep = validate_extension(corrupt())
     assert not rep.ok
     assert any(f.startswith(failure) for f in rep.failures), rep.failures
+    assert rep.failures == EXTENSION_FAILURES[failure]
+
+
+# the whole failure list of each corruption, in the order the checks run
+EXTENSION_FAILURES = {
+    "total: associativity fails": [
+        *(f"total: associativity fails at ({t})" for t in (
+            "1,2,2", "1,2,3", "1,3,2", "1,3,3", "2,1,2", "2,1,3",
+            "2,3,2", "2,3,3", "3,1,2", "3,1,3", "3,2,2", "3,2,3")),
+        "total: g * g^-1 != unit(r(g)) for arrow 2",
+        "total: g^-1 * g != unit(s(g)) for arrow 3"],
+    "proj not multiplicative": [
+        "proj not multiplicative at (2,2)", "proj not multiplicative at (2,3)",
+        "proj not multiplicative at (3,2)", "proj not multiplicative at (3,3)",
+        "inj(0,(1,)) is not in the kernel isotropy at 0",
+        "exactness fails: proj^{-1}(units) != image of inj"],
+    "inj not additive at object 0": ["inj not additive at object 0"],
+    "conjugation law fails": [f"conjugation law fails at arrow {e}, a=(1,)" for e in (3, 4, 5)],
+}
 
 
 def test_lift_search_leaves_no_reference_cycle():
@@ -290,6 +310,29 @@ def test_baer_sum_matches_cocycle_addition_exhaustive():
                 s = baer_sum(c1.extension, c2.extension)
                 assert are_equivalent(
                     s, cls.class_of_coefficients(coeffs).extension) is not None
+
+
+def test_baer_sum_matches_orbit_scan_reference():
+    # the representatives read from the chart of the least lifts against the
+    # fiber scan, on every pair of Ext classes and of their totals moved by a
+    # random coboundary (units not lifted to least lifts): equal tables, in
+    # the same order
+    P2 = pair_groupoid(2)
+    cases = [(C2, A22), (C3, A33), (cyclic_group(4), constant_module(cyclic_group(4), Z2)),
+             (P2, constant_module(P2, Z2))]
+    rng = random.Random(11)
+    while len(cases) < 16:
+        G, A = random_instance(rng, max_arrows=6)
+        if all(f.size <= 4 for f in A.fibers):
+            cases.append((G, A))
+    for G, A in cases:
+        exts = []
+        for c in ext_classes(G, A).classes:
+            b = unflatten_cochain(G, A, 1, [rng.randrange(d) for d in cochain_group(G, A, 1).orders])
+            moved = cochain_add(G, A, c.cocycle, differential(G, A, b))
+            exts += [c.extension, extension_from_cocycle(G, A, moved)]
+        for E1, E2 in itertools.product(exts, repeat=2):
+            _assert_same_extension(baer_sum(E1, E2), baer_sum_by_orbits(E1, E2))
 
 
 def test_ext_classes_fixtures():
@@ -652,3 +695,35 @@ def test_validate_torsor_names_the_failure(corrupt, failure):
     rep = validate_torsor(corrupt())
     assert not rep.ok
     assert any(f.startswith(failure) for f in rep.failures), rep.failures
+    assert rep.failures == TORSOR_FAILURES[failure]
+
+
+TORSOR_FAILURES = {
+    "equivariance g(p+a) = gp + g.a fails": [
+        f"equivariance g(p+a) = gp + g.a fails at (1,{p})" for p in range(3)],
+    "unit does not fix point 0": [
+        "unit does not fix point 0",
+        "(gh)p != g(hp) at arrow pair (1,0), point 0",
+        "(gh)p != g(hp) at arrow pair (1,1), point 0",
+        "(gh)p != g(hp) at arrow pair (0,1), point 1",
+        "equivariance g(p+a) = gp + g.a fails at (0,0)",
+        "equivariance g(p+a) = gp + g.a fails at (0,1)"],
+    "action not free and transitive": [
+        "(p+a)+b != p+(a+b) at point 0", "(p+a)+b != p+(a+b) at point 0",
+        "action not free and transitive between 0 and 0",
+        "action not free and transitive between 0 and 1",
+        "(p+a)+b != p+(a+b) at point 1", "(p+a)+b != p+(a+b) at point 2"],
+    "arrow action domain wrong at (1,0)": [
+        "arrow action domain wrong at (1,0)", "arrow action domain wrong at (1,1)"],
+}
+
+
+def test_validate_torsor_reports_an_action_off_its_anchor():
+    # an arrow of the pair groupoid between its two objects sends a point
+    # back into its own fiber; the checks after that one read g(hp) at such
+    # a point, so the report stops there
+    P2 = pair_groupoid(2)
+    T = trivial_torsor(P2, constant_module(P2, Z2))
+    g, p = next(key for key in T.g_act if P2.src[key[0]] != P2.tgt[key[0]])
+    rep = validate_torsor(_torsor_with(T, g_act={(g, p): p}))
+    assert rep.failures == [f"anchor(g p) != r(g) at ({g},{p})"]

@@ -344,6 +344,19 @@ task: validate
     assert main(["run", str(path)]) == 1
 
 
+def test_missing_product_is_reported_not_raised(tmp_path, capsys):
+    # the cyclic group of order 3 with the product a a = b left out
+    path = tmp_path / "doc.gpd"
+    path.write_text("groupoid: table\nobject: x\narrow: e x x\narrow: a x x\narrow: b x x\n"
+                    + "".join(f"compose: {line}\n" for line in (
+                        "e e e", "e a a", "e b b", "a e a", "a b e", "b e b", "b a e", "b b a"))
+                    + "unit: x e\ntask: validate\n")
+    assert main(["run", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] validate" in out
+    assert "  comp defined on (1,1) iff composable violated\n" in out
+
+
 def test_budget_reaches_cohomology_and_morita_tasks(tmp_path, capsys):
     path = tmp_path / "doc.gpd"
     path.write_text("groupoid: cyclic 3\nmodule: constant 3\n"
@@ -364,15 +377,24 @@ def test_budget_exit_code(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_budget_below_one_is_a_usage_error(tmp_path, capsys, value):
+@pytest.mark.parametrize("option, value, message, task, floor, floor_code", [
+    pytest.param("--budget", "0", "--budget must be at least 1", "cech maximal 2", "1", 3,
+                 id="0"),
+    pytest.param("--budget", "-1", "--budget must be at least 1", "cech maximal 2", "1", 3,
+                 id="-1"),
+    # below 0, morita had no degree to compare and cech ran zero rows
+    pytest.param("--max-degree", "-1", "--max-degree must be at least 0", "morita 0", "0", 0,
+                 id="max-degree--1"),
+])
+def test_budget_below_one_is_a_usage_error(tmp_path, capsys, option, value, message,
+                                           task, floor, floor_code):
     path = tmp_path / "doc.gpd"
-    path.write_text("groupoid: cyclic 2\nmodule: constant 2\ntask: cech maximal 2\n")
+    path.write_text(f"groupoid: cyclic 2\nmodule: constant 2\ntask: {task}\n")
     with pytest.raises(SystemExit) as info:
-        main(["--budget", value, "run", str(path)])
+        main([option, value, "run", str(path)])
     assert info.value.code == 2
-    assert "--budget must be at least 1" in capsys.readouterr().err
-    assert main(["--budget", "1", "run", str(path)]) == 3
+    assert message in capsys.readouterr().err
+    assert main([option, floor, "run", str(path)]) == floor_code
 
 
 def test_homotopy_check_task():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from groupoid_cohomology.groupoid import (
     degeneracy,
     disjoint_union,
     face,
+    fibers,
     pair_groupoid,
     simplicial_map,
     unit_groupoid,
@@ -48,6 +50,46 @@ def test_corrupted_table_fails_with_witness():
     assert not rep.ok
     assert any("associativity" in f or "unit" in f or "inverse" in f or "range/source" in f
                for f in rep.failures)
+    assert rep.failures == [f"associativity fails at ({t})" for t in (
+        "1,1,2", "1,1,3", "1,2,3", "1,3,2", "2,1,1", "2,3,1", "3,1,1", "3,2,1")]
+
+
+def test_missing_product_is_reported():
+    # C3 with a * a left out: reported as a gap in the table, and the
+    # associativity triples through it fail instead of raising
+    G = cyclic_group(3)
+    comp = {k: v for k, v in G.comp.items() if k != (1, 1)}
+    rep = validate(FiniteGroupoid(1, G.src, G.tgt, G.unit, comp, G.inv))
+    assert rep.failures == ["comp defined on (1,1) iff composable violated",
+                            "associativity fails at (1,1,2)", "associativity fails at (1,2,2)",
+                            "associativity fails at (2,1,1)", "associativity fails at (2,2,1)"]
+
+
+def _random_groupoids():
+    rng = random.Random(23)
+    return [random_instance(rng, max_arrows=12)[0] for _ in range(30)]
+
+
+def test_fibers_into_and_out_match_their_definitions():
+    assert fibers((), 2) == [[], []]
+    assert fibers((1, 0, 1, 1), 3) == [[1], [0, 2, 3], []]
+    for G in _random_groupoids():
+        assert G.into == [[h for h in G.arrows() if G.tgt[h] == x] for x in G.objects()]
+        assert G.out == [[g for g in G.arrows() if G.src[g] == x] for x in G.objects()]
+        for g in G.arrows():
+            for h in G.arrows():
+                assert (h in G.into[G.src[g]]) == ((g, h) in G.comp) == (g in G.out[G.tgt[h]])
+
+
+def test_nerve_matches_brute_force_enumeration():
+    # every composable tuple of arrows, in lexicographic order of the arrow ids
+    for G in _random_groupoids():
+        for n in range(1, 4):
+            brute = [a for a in itertools.product(G.arrows(), repeat=n)
+                     if all(G.src[g] == G.tgt[h] for g, h in zip(a, a[1:]))]
+            assert G.nerve_count(n) == len(brute)  # counted before level n is built
+            assert [t.arrows for t in G.nerve(n)] == brute
+            assert [t.obj for t in G.nerve(n)] == [G.tgt[a[0]] for a in brute]
 
 
 def test_nerve_counts():
