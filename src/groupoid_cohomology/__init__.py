@@ -73,11 +73,11 @@ from .cech import (
     cech_cohomology_on_cover,
     check_homotopy_identity,
     constant_space_comparison,
+    face_table,
     homotopy_operator,
     refinement_map,
     sigma_cover,
     single_set_cover,
-    ss_differential,
     use_budget,
 )
 from .morita import cover_nerve_structure, morita_compare

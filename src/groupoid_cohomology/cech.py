@@ -12,19 +12,21 @@ The N-simplicial refinement sigma_N and the cover induced by a level-0
 cover (sigma_0 of it) are the same index calculus over monotone slot maps.
 
 Cochain complexes live on such families via (dc)_i = sum (-1)^k eps_k~* of
-c at the face of the index. One face table drives every coboundary, as in
-the groupoid complex: `cell_faces` lists the faces of a cell (face index,
-face point, restriction), `ss_differential_value` sums them on one cell, and
-`assemble_complex` indexes them by cell position and hands the table to
-`cohomology.assemble_coboundary`, which writes the sparse columns of each map
-in one pass over the cells. Entries stay unreduced modulo the target orders;
-the factors-only `homology_at` reduces them on entry.
+c at the face of the index. A cochain is a `cohomology.Cochain`, one value
+per cell in `complex_coordinates` order, as on the groupoid side. Every map
+of cochains is a `CellMap`: one row per target cell listing (source position,
+restriction) with alternating signs, the table `assemble_coboundary` turns
+into sparse columns, and `CellMap.apply` is the one walker (`alternating_sum`
+per row). `face_table` gives d, for the matrices of `assemble_complex` and
+for cochains alike. Entries stay unreduced modulo the target orders; the
+factors-only `homology_at` reduces them on entry.
 
 Refinement maps theta* and the comparison maps q and iota of a constant
-space are one pull-back along an index map. Two refinements into a cover
-carrying a full (N-)simplicial index structure are homotopic through the
-explicit operator H whose index combinatorics (alpha_k, with the three-way
-case split) is implemented verbatim.
+space are one pull-back table along an index map, one identity entry a row.
+Two refinements into a cover carrying a full (N-)simplicial index structure
+are homotopic through the explicit operator H, a table of n entries a row,
+whose index combinatorics (alpha_k, with the three-way case split) is
+implemented verbatim.
 
 Every complex family prunes its cover to the nonempty pieces, sigma U being
 the family of its own slot cover; pruning is face-closed, so the pruned and
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .abelian import AbComplex, FinAbGroup, ShapeError, homology_at
-from .cohomology import alternating_sum, assemble_coboundary, tuple_fiber
+from .cohomology import Cochain, alternating_sum, assemble_coboundary, tuple_fiber
 from .groupoid import (DEFAULT_BUDGET, Budget, BudgetExceeded, MonotoneMap,  # noqa: F401
                        _guard, all_monotone_maps, all_strict_maps, simplicial_map, use_budget)
 
@@ -343,12 +345,20 @@ class SimplicialCoverComplex:
     stage = "cover complex"
 
     def __init__(self, space, cover, top):
-        self.space, self.cover, self.top, self._levels = space, cover, top, {}
+        self.space, self.cover, self.top, self._levels, self._cells = space, cover, top, {}, {}
 
     def _level(self, n):
         if n not in self._levels:
             self._levels[n] = nonempty_pieces(self.space, self.cover, n, self.stage)
         return self._levels[n]
+
+    def cells(self, n):
+        """The cells (label, point) of level n in canonical order, each mapped
+        to its position: the layout of a degree-n cochain."""
+        if n not in self._cells:
+            self._cells[n] = {cell: i for i, cell in enumerate(
+                (label, p) for label in self.indices(n) for p in self.points_of(n, label))}
+        return self._cells[n]
 
     def indices(self, n):
         return tuple(self._level(n))
@@ -376,7 +386,7 @@ class SigmaCover(SimplicialCoverComplex, _SlotCover):
 
     def __init__(self, space, base, top):
         _SlotCover.__init__(self, space, base, all_strict_maps, None)
-        self.top, self._levels = top, {}
+        self.top, self._levels, self._cells = top, {}, {}
 
     def slots(self, n):
         return tuple(self._slots_at(n)[1])
@@ -400,156 +410,79 @@ class SigmaCover(SimplicialCoverComplex, _SlotCover):
 
 
 # ---------------------------------------------------------------------------
-# cochains over a complex family
-
-
-@dataclass
-class SSCochain:
-    """Sections over every nonempty piece of a complex family at one degree."""
-
-    degree: int
-    data: dict  # label -> {point: element tuple}
-
-
-def ss_zero(space, coeffs, fam, n):
-    data = {}
-    for label in fam.indices(n):
-        data[label] = {p: coeffs.fiber(n, p).zero() for p in fam.points_of(n, label)}
-    return SSCochain(n, data)
-
-
-def ss_basis(space, coeffs, fam, n):
-    """Indicator cochains, one per generator of the degree-n cochain group."""
-    out = []
-    for label, p, fib in complex_coordinates(space, coeffs, fam, n):
-        for j in range(fib.ngens):
-            c = ss_zero(space, coeffs, fam, n)
-            vec = list(c.data[label][p])
-            vec[j] = 1
-            c.data[label][p] = fib.reduce(tuple(vec))
-            out.append(c)
-    return out
-
-
-def ss_random(space, coeffs, fam, n, rng):
-    data = {label: {} for label in fam.indices(n)}
-    for label, p, fib in complex_coordinates(space, coeffs, fam, n):
-        data[label][p] = fib.reduce(tuple(rng.randrange(d) if d else rng.randrange(-3, 4)
-                                          for d in fib.orders))
-    return SSCochain(n, data)
-
-
-def ss_combine(space, coeffs, fam, c1, c2, op):
-    if c1.degree != c2.degree:
-        raise ShapeError("degrees differ")
-    data = {}
-    for label, vals in c1.data.items():
-        data[label] = {p: op(coeffs.fiber(c1.degree, p), v, c2.data[label][p])
-                       for p, v in vals.items()}
-    return SSCochain(c1.degree, data)
-
-
-def ss_sub(space, coeffs, fam, c1, c2):
-    return ss_combine(space, coeffs, fam, c1, c2, lambda fib, a, b: fib.sub(a, b))
-
-
-def ss_add(space, coeffs, fam, c1, c2):
-    return ss_combine(space, coeffs, fam, c1, c2, lambda fib, a, b: fib.add(a, b))
-
-
-def ss_is_zero(c):
-    return all(all(not any(v) for v in vals.values()) for vals in c.data.values())
-
-
-def ss_equal(c1, c2):
-    return c1.degree == c2.degree and c1.data == c2.data
-
-
-def ss_lookup(c):
-    """Cell lookup for a materialized cochain."""
-    return lambda label, point: c.data[label][point]
-
-
-def cell_faces(space, coeffs, fam, n, label, point):
-    """The n+1 faces of a level-n cell, in order, as (face index, face point,
-    restriction), the restriction None when it is the identity.
-
-    Every coboundary over a family reads its faces here.
-    """
-    out = []
-    for k in range(n + 1):
-        eps = MonotoneMap.face(n, k)
-        out.append((fam.face_index(k, n, label), space.smap(eps, point),
-                    coeffs.restrict(eps, point)))
-    return out
-
-
-def ss_differential_value(space, coeffs, fam, c_at, n, label, point):
-    """One cell of d(c) at level n+1, with c given as a degree-n lookup.
-
-    Only the faces of the requested index are touched, so this works even
-    when level n+1 is too large to enumerate.
-    """
-    return alternating_sum(coeffs.fiber(n + 1, point),
-                           ((c_at(src_label, src_point), r) for src_label, src_point, r
-                            in cell_faces(space, coeffs, fam, n + 1, label, point)))
-
-
-def ss_differential(space, coeffs, fam, c):
-    """(dc)_i = sum_k (-1)^k eps_k~* c_{eps_k~(i)}, materialized."""
-    n = c.degree
-    missing = [label for label in fam.indices(n) if label not in c.data]
-    if missing:
-        raise ShapeError(f"cochain misses {len(missing)} pieces at degree {n}")
-    c_at = ss_lookup(c)
-    data = {}
-    for label in fam.indices(n + 1):
-        data[label] = {p: ss_differential_value(space, coeffs, fam, c_at, n, label, p)
-                       for p in fam.points_of(n + 1, label)}
-    return SSCochain(n + 1, data)
+# cochains over a complex family, and maps of them as tables
 
 
 def complex_coordinates(space, coeffs, fam, n):
-    """Cell layout (label, point, fiber) of degree n, in canonical order."""
-    cells = []
-    for label in fam.indices(n):
-        for p in fam.points_of(n, label):
-            cells.append((label, p, coeffs.fiber(n, p)))
-    return cells
+    """Cell layout (label, point, fiber) of degree n, in canonical order.
+
+    A degree-n cochain over the family is a `Cochain` with one value per
+    cell in this order.
+    """
+    return [(label, p, coeffs.fiber(n, p)) for label, p in fam.cells(n)]
 
 
-def ss_flatten(space, coeffs, fam, c):
-    """Coordinates of a cochain in the canonical cell layout."""
-    out = []
-    for label, p, fib in complex_coordinates(space, coeffs, fam, c.degree):
-        out.extend(c.data[label][p])
-    return tuple(out)
+@dataclass(eq=False)
+class CellMap:
+    """A map of cochains over complex families, as a table: one row per
+    target cell, listing its entries (source position, restriction) with
+    signs alternating by place, the restriction an AbHom from the source
+    fiber into the target fiber or None for the identity.
+
+    d, theta*, q, iota and H are all CellMaps. The rows are the table
+    `assemble_coboundary` reads, so `hom` is the map's sparse matrix, and
+    `apply` walks them on a cochain. source and target hold the fibers of
+    the source and target cells; degree is the target degree.
+    """
+
+    degree: int
+    source: list
+    target: list
+    rows: list
+
+    def apply(self, c):
+        values = c.values
+        if len(values) != len(self.source):
+            raise ShapeError(f"cochain has {len(values)} cells, expected {len(self.source)}")
+        return Cochain(self.degree, tuple(
+            alternating_sum(fib, ((values[s], r) for s, r in row))
+            for fib, row in zip(self.target, self.rows)))
+
+    def hom(self):
+        return assemble_coboundary(self.source, self.target, self.rows)
+
+
+def face_table(space, coeffs, fam, n, cells=None):
+    """d: C^n -> C^{n+1} over a family, (dc)_i = sum (-1)^k eps_k~* c_{eps_k~(i)}:
+    for each level-(n+1) cell its n+2 faces (position at level n, restriction).
+
+    cells lists the (label, point) cells of level n+1 to take, by default
+    all of them; the homotopy passes only the cells that H reads, so a level
+    too large to enumerate never is.
+    """
+    index = fam.cells(n)
+    if cells is None:
+        cells = fam.cells(n + 1)
+    faces = [MonotoneMap.face(n + 1, k) for k in range(n + 2)]
+    rows = [tuple((index[fam.face_index(k, n + 1, label), space.smap(eps, p)],
+                   coeffs.restrict(eps, p)) for k, eps in enumerate(faces))
+            for label, p in cells]
+    return CellMap(n + 1, [coeffs.fiber(n, p) for _, p in index],
+                   [coeffs.fiber(n + 1, p) for _, p in cells], rows)
 
 
 def assemble_complex(space, coeffs, fam, top):
-    """The cochain complex of a family as presented abelian groups.
-
-    Each map is assembled from the family's face table, built from
-    cell_faces in one pass over the cells; entries stay unreduced modulo
-    the target orders.
-    """
-    cells, fibers = [], []
+    """The cochain complex of a family as presented abelian groups, each map
+    the matrix of its face table; entries stay unreduced modulo the target
+    orders."""
+    groups = []
     for n in range(top + 1):
-        level = complex_coordinates(space, coeffs, fam, n)
-        fibs = [fib for _, _, fib in level]
-        ngens = sum(fib.ngens for fib in fibs)
-        _guard("max_cells", ngens, f"complex level {n} has {ngens} coordinates")
-        cells.append(level)
-        fibers.append(fibs)
-    maps = []
-    for n in range(top):
-        index = {(label, p): i for i, (label, p, _) in enumerate(cells[n])}
-        table = [tuple((index[(src_label, src_point)], r) for src_label, src_point, r
-                       in cell_faces(space, coeffs, fam, n + 1, label, p))
-                 for label, p, _ in cells[n + 1]]
-        maps.append(assemble_coboundary(fibers[n], fibers[n + 1], table))
-    groups = tuple(FinAbGroup(tuple(o for fib in fibs for o in fib.orders)) for fibs in fibers)
-    return AbComplex(groups, tuple(maps))
+        orders = tuple(o for *_, fib in complex_coordinates(space, coeffs, fam, n)
+                       for o in fib.orders)
+        _guard("max_cells", len(orders), f"complex level {n} has {len(orders)} coordinates")
+        groups.append(FinAbGroup(orders))
+    maps = tuple(face_table(space, coeffs, fam, n).hom() for n in range(top))
+    return AbComplex(tuple(groups), maps)
 
 
 def sigma_cover(space, cover, top):
@@ -598,21 +531,24 @@ def validate_refinement(space, refinement, top):
                     raise ValueError(f"theta misses the nonempty index {label} at level {n}")
 
 
-def _pull_back(fam, c, source_index):
-    """The cochain over fam whose value at (label, p) is c at
-    (source_index(label), p): theta*, q and iota."""
-    n = c.degree
-    data = {}
-    for label in fam.indices(n):
-        vals = c.data[source_index(label)]
-        data[label] = {p: vals[p] for p in fam.points_of(n, label)}
-    return SSCochain(n, data)
+def _pull_back(space, coeffs, target, source, n, source_index):
+    """theta*, q and iota: the CellMap onto the level-n cells of target whose
+    row at (label, p) is one identity entry, the source cell
+    (source_index(label), p)."""
+    index = source.cells(n)
+    fibers, rows = [], []
+    for label in target.indices(n):
+        src = source_index(label)
+        for p in target.points_of(n, label):
+            fibers.append(coeffs.fiber(n, p))
+            rows.append(((index[src, p], None),))
+    return CellMap(n, [coeffs.fiber(n, p) for _, p in index], fibers, rows)
 
 
-def refinement_map(space, coeffs, sigma_coarse, sigma_fine, refinement, c):
-    """theta* : substitute indices slotwise and restrict to the finer pieces."""
-    slots = sigma_fine.slots(c.degree)
-    return _pull_back(sigma_fine, c, lambda label: tuple(
+def refinement_map(space, coeffs, sigma_coarse, sigma_fine, refinement, n):
+    """theta* at degree n: substitute indices slotwise and restrict to the finer pieces."""
+    slots = sigma_fine.slots(n)
+    return _pull_back(space, coeffs, sigma_fine, sigma_coarse, n, lambda label: tuple(
         refinement.theta(len(s) - 1, i) for s, i in zip(slots, label)))
 
 
@@ -641,76 +577,78 @@ def _alpha_slot(slot, k, n, fine_cover, lam, lam_slots_pos, theta0, theta1, vert
 
 
 def homotopy_operator(space, coeffs, sigma_coarse, sigma_fine, fine_cover,
-                      theta0, theta1, phi=None, degree=None, phi_at=None, vertex_sub=False):
-    """(H phi)_lambda = sum_k (-1)^k eta_k~* phi_{alpha_k(lambda)}.
+                      theta0, theta1, n, cells, vertex_sub=False):
+    """H: C^n(sigma coarse) -> C^{n-1}(sigma fine) as a CellMap,
+    (H phi)_lambda = sum_k (-1)^k eta_k~* phi_{alpha_k(lambda)}: each fine
+    cell (lambda, v) has n entries, the coarse cell alpha_k(lambda) at
+    eta_k(v) restricted along eta_k.
 
-    phi lives on sigma(coarse) at the given degree n; the result lives on
-    sigma(fine) at degree n-1. The fine cover must carry the simplicial index
-    structure (jmap) at the levels involved; theta0 and theta1 are refinement
-    index maps from the fine to the coarse cover. phi may be given either
-    materialized or as a cell lookup (so d(phi) never has to be enumerated).
+    cells maps coarse level-n cells (label, point) to source positions; a
+    cell that H reads and cells lacks is added at the next position, so an
+    empty dict collects exactly the cells H reads. The fine cover must carry
+    the simplicial index structure (jmap) at the levels involved; theta0 and
+    theta1 are refinement index maps from the fine to the coarse cover.
     vertex_sub=True takes the vertex-coherent substitution of the
     constant-space comparison in place of theta1 (see _alpha_slot).
     """
     if not hasattr(fine_cover, "jmap"):
         raise ShapeError("the fine cover carries no simplicial index structure "
                          "(no degeneracy maps on its indices)")
-    if phi is not None:
-        degree, phi_at = phi.degree, ss_lookup(phi)
-    n = degree
-    if n == 0:
-        return SSCochain(-1, {})
-    lam_pos = {s: i for i, s in enumerate(sigma_fine.slots(n - 1))}
-    big_slots = sigma_coarse.slots(n)
-    t0 = theta0.theta if isinstance(theta0, Refinement) else theta0
-    t1 = theta1.theta if isinstance(theta1, Refinement) else theta1
-    etas = [MonotoneMap.degeneracy(n - 1, k) for k in range(n)]
-    data = {}
-    for lam in sigma_fine.indices(n - 1):
-        alphas = [tuple(_alpha_slot(S, k, n, fine_cover, lam, lam_pos, t0, t1, vertex_sub)
-                        for S in big_slots)
-                  for k in range(n)]
-        data[lam] = {v: alternating_sum(coeffs.fiber(n - 1, v),
-                                        ((phi_at(alpha, space.smap(eta, v)),
-                                          coeffs.restrict(eta, v))
-                                         for alpha, eta in zip(alphas, etas)))
-                     for v in sigma_fine.points_of(n - 1, lam)}
-    return SSCochain(n - 1, data)
+    fibers, rows = [], []
+    if n:
+        lam_pos = {s: i for i, s in enumerate(sigma_fine.slots(n - 1))}
+        big_slots = sigma_coarse.slots(n)
+        t0 = theta0.theta if isinstance(theta0, Refinement) else theta0
+        t1 = theta1.theta if isinstance(theta1, Refinement) else theta1
+        etas = [MonotoneMap.degeneracy(n - 1, k) for k in range(n)]
+        for lam in sigma_fine.indices(n - 1):
+            alphas = [tuple(_alpha_slot(S, k, n, fine_cover, lam, lam_pos, t0, t1, vertex_sub)
+                            for S in big_slots)
+                      for k in range(n)]
+            for v in sigma_fine.points_of(n - 1, lam):
+                fibers.append(coeffs.fiber(n - 1, v))
+                rows.append(tuple((cells.setdefault((alpha, space.smap(eta, v)), len(cells)),
+                                   coeffs.restrict(eta, v)) for alpha, eta in zip(alphas, etas)))
+    return CellMap(n - 1, [coeffs.fiber(n, p) for _, p in cells], fibers, rows)
 
 
 def _homotopy_side(space, coeffs, sigma_coarse, sigma_fine, fine_cover, theta0, theta1,
                    phi, vertex_sub=False):
-    """dH(phi) + Hd(phi) over sigma_fine, with d(phi) evaluated on demand, so
-    only sigma levels n-1..n of the fine cover and level n of the coarse one
-    are ever enumerated. H asks for some cells of d(phi) more than once, so
-    each is computed once per call."""
+    """dH(phi) + Hd(phi) over sigma_fine. Hd reads d(phi) only at the coarse
+    level-(n+1) cells that H names: they are collected once, and only their
+    face rows are applied, so only sigma levels n-1..n of the fine cover and
+    level n of the coarse one are ever enumerated."""
     n = phi.degree
 
-    def h(**kwargs):
+    def h(k, cells):
         return homotopy_operator(space, coeffs, sigma_coarse, sigma_fine, fine_cover,
-                                 theta0, theta1, vertex_sub=vertex_sub, **kwargs)
+                                 theta0, theta1, k, cells, vertex_sub)
 
-    d_h = (ss_differential(space, coeffs, sigma_fine, h(phi=phi)) if n >= 1
-           else ss_zero(space, coeffs, sigma_fine, n))
-    phi_at = ss_lookup(phi)
-    h_d = h(degree=n + 1, phi_at=functools.cache(lambda label, point: ss_differential_value(
-        space, coeffs, sigma_coarse, phi_at, n, label, point)))
-    return ss_add(space, coeffs, sigma_fine, d_h, h_d)
+    needed = {}
+    h_up = h(n + 1, needed)
+    side = h_up.apply(face_table(space, coeffs, sigma_coarse, n, list(needed)).apply(phi))
+    if n:
+        d_h = face_table(space, coeffs, sigma_fine, n - 1).apply(
+            h(n, dict(sigma_coarse.cells(n))).apply(phi))
+        side = Cochain(n, tuple(fib.add(a, b) for fib, a, b
+                                in zip(h_up.target, d_h.values, side.values)))
+    return side
 
 
-def check_homotopy_identity(space, coeffs, coarse, fine_cover, theta0, theta1, phi):
-    """theta1* - theta0* = dH + Hd, evaluated exactly on one cochain.
+def check_homotopy_identity(space, coeffs, sigma_coarse, fine_cover, theta0, theta1, phi):
+    """theta1* - theta0* = dH + Hd, evaluated exactly on one cochain over
+    sigma_coarse, the sigma family of the coarse cover; theta1* - theta0* is
+    one table with two entries a row.
 
     Returns the pair of sides as cochains over sigma(fine) for inspection.
     """
     n = phi.degree
-    sU = SigmaCover(space, coarse, n + 1)
     sV = SigmaCover(space, fine_cover, n + 1)
-    lhs = _homotopy_side(space, coeffs, sU, sV, fine_cover, theta0, theta1, phi)
-    r1 = refinement_map(space, coeffs, sU, sV, theta1, phi)
-    r0 = refinement_map(space, coeffs, sU, sV, theta0, phi)
-    rhs = ss_sub(space, coeffs, sV, r1, r0)
-    return lhs, rhs
+    lhs = _homotopy_side(space, coeffs, sigma_coarse, sV, fine_cover, theta0, theta1, phi)
+    r1, r0 = (refinement_map(space, coeffs, sigma_coarse, sV, theta, n)
+              for theta in (theta1, theta0))
+    rows = [a + b for a, b in zip(r1.rows, r0.rows)]
+    return lhs, CellMap(n, r1.source, r1.target, rows).apply(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -729,26 +667,28 @@ class ConstantComparison:
     sigma: SigmaCover
     plain: SimplicialCoverComplex
 
-    def q(self, c):
+    def q(self, n):
         """(q phi)_{i_0...i_n} = phi_{lambda^{(i)}}, lambda^{(i)}(S) = i|_S."""
-        slots = self.sigma.slots(c.degree)
-        return _pull_back(self.plain, c,
+        slots = self.sigma.slots(n)
+        return _pull_back(self.space, self.coeffs, self.plain, self.sigma, n,
                           lambda label: tuple(tuple(label[v] for v in S) for S in slots))
 
-    def iota(self, c):
+    def iota(self, n):
         """(iota c)_lambda = c at the tuple of vertex indices of lambda."""
-        n = c.degree
         vertices = [self.sigma.slots(n).index((m,)) for m in range(n + 1)]
-        return _pull_back(self.sigma, c, lambda lam: tuple(lam[i][0] for i in vertices))
+        return _pull_back(self.space, self.coeffs, self.sigma, self.plain, n,
+                          lambda lam: tuple(lam[i][0] for i in vertices))
 
     def check_identities(self, phi):
         """Both sides of dH + Hd = iota q - id for one sigma-cochain, H being
-        homotopy_operator with the vertex-coherent substitution, with d(phi)
-        evaluated on demand."""
+        homotopy_operator with the vertex-coherent substitution; iota q - id
+        is one table, the composite pull-back and the cell itself a row."""
+        n = phi.degree
         lhs = _homotopy_side(self.space, self.coeffs, self.sigma, self.sigma, self.cover,
                              lambda r, label: label, None, phi, vertex_sub=True)
-        rhs = ss_sub(self.space, self.coeffs, self.sigma, self.iota(self.q(phi)), phi)
-        return lhs, rhs
+        q, iota = self.q(n), self.iota(n)
+        rows = [(q.rows[j][0], (i, None)) for i, ((j, _),) in enumerate(iota.rows)]
+        return lhs, CellMap(n, q.source, iota.target, rows).apply(phi)
 
 
 def constant_space_comparison(n_points, level0_sets, group, top):

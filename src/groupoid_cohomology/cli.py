@@ -89,6 +89,7 @@ class WorkspaceDocument:
     groupoid: FiniteGroupoid
     module: GModule
     tasks: list = field(default_factory=list)
+    explicit: bool = False  # from `table` or `fibers` lines, so not valid by construction
 
 
 def _parse_orders(text, line_no):
@@ -262,6 +263,7 @@ _FIBER_VALUES = {"fiber": _parse_orders, "action": _parse_matrix}
 def parse(text):
     """Parse a workspace document; diagnostics carry line numbers."""
     groupoid = table = fibers_at = None
+    explicit = False
     constant = FinAbGroup(())
     seen, tasks = {}, []
     entries = {key: [] for key in _FIBER_VALUES}
@@ -288,6 +290,7 @@ def parse(text):
         if key == "groupoid":
             if args == "table":
                 table = {directive: [] for directive in _TABLE_USAGE}
+                explicit = True
             else:
                 groupoid = _build_groupoid(args, line_no)
         elif key in _TABLE_USAGE:
@@ -326,7 +329,7 @@ def parse(text):
         module = _fibers_module(groupoid, entries, fibers_at)
     else:
         module = constant_module(groupoid, constant)
-    return WorkspaceDocument(groupoid, module, tasks)
+    return WorkspaceDocument(groupoid, module, tasks, explicit or fibers_at is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +384,14 @@ _TASK_WORDS = {"validate": 1, "cohomology": 2, "ext": 1, "baer": 1, "strict-triv
 
 
 def run(doc, max_degree=3, seed=0):
-    """Run the document's tasks in order under the active budget; returns (results, exit_code)."""
+    """Run the document's tasks in order under the active budget; returns (results, exit_code).
+
+    Explicit tables are validated once, before the first task other than
+    `validate`: a failure there is a DocumentError naming the first failure.
+    """
     results = []
     G, A = doc.groupoid, doc.module
+    unchecked = doc.explicit
     classes_cache = {}
 
     def get_classes(line_no):
@@ -397,6 +405,12 @@ def run(doc, max_degree=3, seed=0):
         words = args.split()
         name = words[0] if words else ""
         _at_most(words, _TASK_WORDS.get(name, len(words)), line_no)
+        if unchecked and name != "validate":
+            unchecked = False
+            failures = validate(G).failures or validate_module(A).failures
+            if failures:
+                raise DocumentError(line_no, f"the document's tables fail validation: "
+                                             f"{failures[0]}")
         try:
             if name == "validate":
                 rep = validate(G)

@@ -280,8 +280,8 @@ class FiniteGroupoid:
         """For each level-(n+1) tuple, the positions in nerve(n) of its n+2 faces.
 
         Every coboundary of the groupoid complex reads this table; the Cech
-        complexes of a `NerveSpace` take their faces through `simplicial_map`
-        instead (`cech.cell_faces`).
+        complexes of a `NerveSpace` build their own face table, one row per
+        cell of a cover family, through `simplicial_map` (`cech.face_table`).
         Faces are formed on plain arrow tuples: at level 0 they are the
         source and range objects, at level 1 arrow ids, and above that they
         are looked up in `nerve_index`. `face` is the per-tuple definition.

@@ -10,6 +10,10 @@ Baer sum has one that finds each orbit representative by scanning the
 coefficient fiber. The coboundary assembler and the unit-pivot elimination
 have reference versions too: a dense assembler into row lists, and the
 elimination with the bucket-scan pivot search that the heap replaced.
+Cech cochains have the dictionary form {label: {point: value}} that the
+cell tables of `cech` replaced: a coboundary summed face by face on
+`MonotoneMap.face`, `space.smap` and `coeffs.restrict`, a pull-back along an
+index map, and the random cochain as that form drew it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from math import gcd, lcm, prod
 
 from groupoid_cohomology.abelian import InvariantFactors
 from groupoid_cohomology.classify import Extension, NotACocycleError
-from groupoid_cohomology.groupoid import FiniteGroupoid, GroupoidMorphism, face
+from groupoid_cohomology.cohomology import Cochain
+from groupoid_cohomology.groupoid import FiniteGroupoid, GroupoidMorphism, MonotoneMap, face
 
 
 def cyclic_table(n):
@@ -521,3 +526,67 @@ def bucket_unit_eliminate(cols, orders, track=None, track_orders=None):
         if track is not None:
             track[p] = _reduced({c: o * v for c, v in track[p].items()}, track_orders)
     return pivots
+
+
+# ---------------------------------------------------------------------------
+# Cech cochains as dictionaries
+
+
+def cochain_by_cells(fam, c):
+    """A flat cochain over a family as {label: {point: value}}, its values
+    read in the family's label then point order."""
+    values = iter(c.values)
+    return {label: {p: next(values) for p in fam.points_of(c.degree, label)}
+            for label in fam.indices(c.degree)}
+
+
+def random_cochain_by_cells(coeffs, fam, n, rng):
+    """A random cochain drawn cell by cell, label then point, each coordinate
+    from rng.randrange(order) (Z: -3..3)."""
+    data = {}
+    for label in fam.indices(n):
+        data[label] = {}
+        for p in fam.points_of(n, label):
+            fib = coeffs.fiber(n, p)
+            data[label][p] = fib.reduce(tuple(rng.randrange(d) if d else rng.randrange(-3, 4)
+                                              for d in fib.orders))
+    return data
+
+
+def coboundary_by_cells(space, coeffs, fam, n, data):
+    """(dc)_i = sum_k (-1)^k eps_k~* c_{eps_k~(i)} at every level-(n+1) cell,
+    each face formed by `MonotoneMap.face`, the family's face index,
+    `space.smap` and `coeffs.restrict`."""
+    out = {}
+    for label in fam.indices(n + 1):
+        out[label] = {}
+        for p in fam.points_of(n + 1, label):
+            fib = coeffs.fiber(n + 1, p)
+            total = fib.zero()
+            for k in range(n + 2):
+                eps = MonotoneMap.face(n + 1, k)
+                v = data[fam.face_index(k, n + 1, label)][space.smap(eps, p)]
+                r = coeffs.restrict(eps, p)
+                if r is not None:
+                    v = r.apply(v)
+                total = fib.sub(total, v) if k % 2 else fib.add(total, v)
+            out[label][p] = total
+    return out
+
+
+def pull_back_by_cells(target, n, data, source_index):
+    """The cochain over target whose value at (label, p) is data at
+    (source_index(label), p)."""
+    return {label: {p: data[source_index(label)][p] for p in target.points_of(n, label)}
+            for label in target.indices(n)}
+
+
+def basis_cochains(coeffs, fam, n):
+    """Indicator cochains, one per generator of C^n over a family, in order."""
+    fibers = [coeffs.fiber(n, p) for label in fam.indices(n) for p in fam.points_of(n, label)]
+    zero = [fib.zero() for fib in fibers]
+    for i, fib in enumerate(fibers):
+        for j in range(fib.ngens):
+            values = list(zero)
+            values[i] = fib.reduce(tuple(int(k == j) for k in range(fib.ngens)))
+            yield Cochain(n, tuple(values))

@@ -2,6 +2,13 @@ import importlib
 import random
 
 import pytest
+from oracles import (
+    basis_cochains,
+    coboundary_by_cells,
+    cochain_by_cells,
+    pull_back_by_cells,
+    random_cochain_by_cells,
+)
 from test_cohomology import assert_matches_dense_assembler, record_assembly
 from timing import time_limit
 
@@ -29,22 +36,22 @@ from groupoid_cohomology.cech import (
     assemble_complex,
     cech_cohomology_on_cover,
     check_homotopy_identity,
+    complex_coordinates,
     constant_space_comparison,
+    face_table,
     homotopy_operator,
     refinement_map,
     single_set_cover,
     sigma_cover,
-    ss_basis,
-    ss_differential,
-    ss_equal,
-    ss_flatten,
-    ss_is_zero,
-    ss_random,
-    ss_sub,
-    ss_zero,
     use_budget,
 )
-from groupoid_cohomology.cohomology import cohomology, invariant_sections
+from groupoid_cohomology.cohomology import (
+    Cochain,
+    assemble_coboundary,
+    cohomology,
+    invariant_sections,
+    is_zero_cochain,
+)
 from groupoid_cohomology.gmodule import GModule, constant_module
 from groupoid_cohomology.groupoid import cyclic_group
 from groupoid_cohomology.abelian import homology_at
@@ -52,6 +59,7 @@ from groupoid_cohomology.randomized import (
     _random_fine_cover,
     _random_space_and_coeffs,
     random_coarsening,
+    random_cochain,
     random_refinement_pair,
     run_homotopy_trials,
 )
@@ -174,22 +182,18 @@ def test_sigma_n_pieces_agree_with_containing(seed):
                 assert V.set_of(n, label) == {p for p, held in holding.items() if label in held}
 
 
-def test_ss_differential_telescopes_on_constant_cochain():
+def test_differential_telescopes_on_constant_cochain():
     space = ConstantSpace(2)
     cov = single_set_cover(space, 4)
     fam = sigma_cover(space, cov, 4)
     coeffs = ConstantCoefficients(FinAbGroup((5,)))
     for n in range(0, 3):
-        c = ss_zero(space, coeffs, fam, n)
-        for lam in c.data:
-            for p in c.data[lam]:
-                c.data[lam][p] = (2,)
-        dc = ss_differential(space, coeffs, fam, c)
+        d = face_table(space, coeffs, fam, n)
+        dc = d.apply(Cochain(n, ((2,),) * len(d.source)))
         if n % 2 == 0:  # n+2 terms alternating: zero for even n
-            assert ss_is_zero(dc)
+            assert is_zero_cochain(dc)
         else:
-            for lam, vals in dc.data.items():
-                assert all(v == (2,) for v in vals.values())
+            assert dc.values and all(v == (2,) for v in dc.values)
 
 
 def test_degree0_cocycle_condition_is_moore():
@@ -202,12 +206,9 @@ def test_degree0_cocycle_condition_is_moore():
                  AbHom(neg_fib, neg_fib, IntegerMatrix.from_rows([[-1]]))))
     coeffs = ModuleCoefficients(A)
     fam = sigma_cover(space, MaximalSimplicialCover(space), 2)
-    c = ss_zero(space, coeffs, fam, 0)
-    for lam in c.data:
-        for p in c.data[lam]:
-            c.data[lam][p] = (1,)
-    dc = ss_differential(space, coeffs, fam, c)
-    for lam, vals in dc.data.items():
+    d = face_table(space, coeffs, fam, 0)
+    dc = d.apply(Cochain(0, ((1,),) * len(d.source)))
+    for vals in cochain_by_cells(fam, dc).values():
         (point, value), = vals.items()
         g = point.arrows[0]
         expect = neg_fib.sub(A.act(g, (1,)), (1,))
@@ -221,9 +222,10 @@ def test_dd_zero_on_sigma_complexes():
     for cov in (single_set_cover(space, 4), MaximalSimplicialCover(space)):
         fam = sigma_cover(space, cov, 4)
         for n in range(0, 2):
-            c = ss_random(space, coeffs, fam, n, rng)
-            dd = ss_differential(space, coeffs, fam, ss_differential(space, coeffs, fam, c))
-            assert ss_is_zero(dd)
+            c = random_cochain(space, coeffs, fam, n, rng)
+            dd = face_table(space, coeffs, fam, n + 1).apply(
+                face_table(space, coeffs, fam, n).apply(c))
+            assert is_zero_cochain(dd)
 
 
 def test_cech_matches_groupoid_cohomology():
@@ -312,16 +314,18 @@ def _assembly_cases():
 @pytest.mark.parametrize("case", _assembly_cases(), ids=lambda case: case[0])
 def test_assembled_columns_match_the_cochain_differential(case):
     """Each column of the assembled map is, modulo the target orders, the
-    differential of the matching indicator cochain (the reference
-    construction assembly used before face tables)."""
+    differential of the matching indicator cochain, summed face by face on
+    dictionaries (the reference construction assembly used before face
+    tables)."""
     _, space, coeffs, fam, top = case
     cx = assemble_complex(space, coeffs, fam, top)
     for n in range(top):
         h = cx.maps[n]
-        basis = ss_basis(space, coeffs, fam, n)
+        basis = list(basis_cochains(coeffs, fam, n))
         assert len(basis) == h.matrix.cols
         for j, c in enumerate(basis):
-            want = ss_flatten(space, coeffs, fam, ss_differential(space, coeffs, fam, c))
+            dc = coboundary_by_cells(space, coeffs, fam, n, cochain_by_cells(fam, c))
+            want = tuple(x for vals in dc.values() for v in vals.values() for x in v)
             assert h.target.reduce(h.matrix.col(j)) == want
 
 
@@ -352,17 +356,17 @@ def test_refinement_identity_and_functoriality():
     sV = SigmaCover(space, V, 3)
     ident = _identity_refinement(space, V, 3)
     for n in (0, 1, 2):
-        c = ss_random(space, coeffs, sV, n, rng)
-        assert ss_equal(refinement_map(space, coeffs, sV, sV, ident, c), c)
+        c = random_cochain(space, coeffs, sV, n, rng)
+        assert refinement_map(space, coeffs, sV, sV, ident, n).apply(c) == c
     # composite of single -> maximal with identity equals itself
     U = single_set_cover(space, 3)
     sU = SigmaCover(space, U, 3)
     theta = Refinement(U, V, tuple({p: 0 for p in space.points(n)} for n in range(4)))
     for n in (1, 2):
-        c = ss_random(space, coeffs, sU, n, rng)
-        once = refinement_map(space, coeffs, sU, sV, theta, c)
-        again = refinement_map(space, coeffs, sV, sV, ident, once)
-        assert ss_equal(once, again)
+        c = random_cochain(space, coeffs, sU, n, rng)
+        once = refinement_map(space, coeffs, sU, sV, theta, n).apply(c)
+        again = refinement_map(space, coeffs, sV, sV, ident, n).apply(once)
+        assert once == again
 
 
 def test_refinement_commutes_with_differential():
@@ -375,17 +379,18 @@ def test_refinement_commutes_with_differential():
     sV = SigmaCover(space, V, 3)
     theta = Refinement(U, V, tuple({p: 0 for p in space.points(n)} for n in range(4)))
     for n in (0, 1):
-        c = ss_random(space, coeffs, sU, n, rng)
-        lhs = refinement_map(space, coeffs, sU, sV, theta,
-                             ss_differential(space, coeffs, sU, c))
-        rhs = ss_differential(space, coeffs, sV,
-                              refinement_map(space, coeffs, sU, sV, theta, c))
-        assert ss_equal(lhs, rhs)
+        c = random_cochain(space, coeffs, sU, n, rng)
+        lhs = refinement_map(space, coeffs, sU, sV, theta, n + 1).apply(
+            face_table(space, coeffs, sU, n).apply(c))
+        rhs = face_table(space, coeffs, sV, n).apply(
+            refinement_map(space, coeffs, sU, sV, theta, n).apply(c))
+        assert lhs == rhs
 
 
-def _ss_class_difference_is_coboundary(space, coeffs, fam, c1, c2, n):
+def _class_difference_is_coboundary(space, coeffs, fam, c1, c2, n):
     cx = assemble_complex(space, coeffs, fam, n + 1)
-    diff = ss_flatten(space, coeffs, fam, ss_sub(space, coeffs, fam, c1, c2))
+    fibers = [fib for *_, fib in complex_coordinates(space, coeffs, fam, n)]
+    diff = tuple(x for fib, v, w in zip(fibers, c1.values, c2.values) for x in fib.sub(v, w))
     if n == 0:
         return all(x % d == 0 if d else x == 0
                    for x, d in zip(diff, cx.groups[0].orders))
@@ -407,16 +412,15 @@ def test_coarse_to_maximal_refinement_iso_on_h2():
     layout = [(lab, p, fib) for lab in sU.indices(2) for p in sU.points_of(2, lab)
               for fib in [coeffs.fiber(2, p)]]
     vec = gens[0]
-    c = ss_zero(space, coeffs, sU, 2)
-    pos = 0
+    values, pos = [], 0
     for lab, p, fib in layout:
-        c.data[lab][p] = fib.reduce(tuple(vec[pos:pos + fib.ngens]))
+        values.append(fib.reduce(tuple(vec[pos:pos + fib.ngens])))
         pos += fib.ngens
-    mapped = refinement_map(space, coeffs, sU, sV, theta, c)
-    assert ss_is_zero(ss_differential(space, coeffs, sV, mapped))
-    zero = ss_zero(space, coeffs, sV, 2)
+    mapped = refinement_map(space, coeffs, sU, sV, theta, 2).apply(Cochain(2, tuple(values)))
+    assert is_zero_cochain(face_table(space, coeffs, sV, 2).apply(mapped))
+    zero = Cochain(2, tuple(fib.zero() for *_, fib in complex_coordinates(space, coeffs, sV, 2)))
     # the image class is nonzero, and H^2 on both sides is Z/2: isomorphism
-    assert not _ss_class_difference_is_coboundary(space, coeffs, sV, mapped, zero, 2)
+    assert not _class_difference_is_coboundary(space, coeffs, sV, mapped, zero, 2)
     assert cech_cohomology_on_cover(space, coeffs, V, 2) == factors
 
 
@@ -432,12 +436,13 @@ def test_refinement_independence_on_cohomology():
         sU = SigmaCover(space, U, 3)
         sV = SigmaCover(space, V, 3)
         for n in (1, 2):
-            for phi in ss_basis(space, coeffs, sU, n):
-                if not ss_is_zero(ss_differential(space, coeffs, sU, phi)):
+            d = face_table(space, coeffs, sU, n)
+            t0, t1 = (refinement_map(space, coeffs, sU, sV, th, n) for th in (th0, th1))
+            for phi in basis_cochains(coeffs, sU, n):
+                if not is_zero_cochain(d.apply(phi)):
                     continue
-                r0 = refinement_map(space, coeffs, sU, sV, th0, phi)
-                r1 = refinement_map(space, coeffs, sU, sV, th1, phi)
-                assert _ss_class_difference_is_coboundary(space, coeffs, sV, r1, r0, n)
+                assert _class_difference_is_coboundary(space, coeffs, sV, t1.apply(phi),
+                                                       t0.apply(phi), n)
 
 
 def test_equal_refinements_give_zero_homotopy_side():
@@ -449,10 +454,10 @@ def test_equal_refinements_give_zero_homotopy_side():
     theta, _ = random_refinement_pair(rng, space, V, U, 3)
     for n in (1, 2):
         sU = SigmaCover(space, U, n + 1)
-        phi = ss_random(space, coeffs, sU, n, rng)
-        lhs, rhs = check_homotopy_identity(space, coeffs, U, V, theta, theta, phi)
-        assert ss_is_zero(rhs)
-        assert ss_is_zero(lhs)
+        phi = random_cochain(space, coeffs, sU, n, rng)
+        lhs, rhs = check_homotopy_identity(space, coeffs, sU, V, theta, theta, phi)
+        assert is_zero_cochain(rhs)
+        assert is_zero_cochain(lhs)
 
 
 def test_homotopy_at_degree_zero_on_cocycles():
@@ -468,31 +473,30 @@ def test_homotopy_at_degree_zero_on_cocycles():
         sV = SigmaCover(space, V, 1)
         cx = assemble_complex(space, coeffs, sU, 1)
         # enumerate 0-cocycles via the kernel of the assembled map
-        for basis in ss_basis(space, coeffs, sU, 0):
-            if not ss_is_zero(ss_differential(space, coeffs, sU, basis)):
+        d = face_table(space, coeffs, sU, 0)
+        t0, t1 = (refinement_map(space, coeffs, sU, sV, th, 0) for th in (th0, th1))
+        for basis in basis_cochains(coeffs, sU, 0):
+            if not is_zero_cochain(d.apply(basis)):
                 continue
-            r0 = refinement_map(space, coeffs, sU, sV, th0, basis)
-            r1 = refinement_map(space, coeffs, sU, sV, th1, basis)
-            assert ss_equal(r0, r1)
+            assert t0.apply(basis) == t1.apply(basis)
 
 
 def test_error_paths():
     from groupoid_cohomology.abelian import ShapeError
-    from groupoid_cohomology.cech import SSCochain, validate_refinement
+    from groupoid_cohomology.cech import validate_refinement
     space = NerveSpace(C2)
     coeffs = ModuleCoefficients(A22)
     U = single_set_cover(space, 2)
     fam = sigma_cover(space, U, 2)
-    with pytest.raises(ShapeError, match="pieces"):
-        ss_differential(space, coeffs, fam, SSCochain(1, {}))
+    with pytest.raises(ShapeError, match="cochain has 0 cells"):
+        face_table(space, coeffs, fam, 1).apply(Cochain(1, ()))
     # a plain cover has no index degeneracies, so it cannot be a homotopy target
     sU = SigmaCover(space, U, 2)
-    phi = ss_random(space, coeffs, sU, 1, random.Random(0))
     with pytest.raises(ShapeError, match="simplicial index structure"):
-        homotopy_operator(space, coeffs, sU, sU, U, None, None, phi)
+        homotopy_operator(space, coeffs, sU, sU, U, None, None, 1, {})
     # nor is sigma: it is only semi-simplicial
     with pytest.raises(ShapeError, match="simplicial index structure"):
-        homotopy_operator(space, coeffs, sU, sU, sU, None, None, phi)
+        homotopy_operator(space, coeffs, sU, sU, sU, None, None, 1, {})
     # refinement containment violations are caught by validation
     V = MaximalSimplicialCover(space)
     bogus = []
@@ -533,9 +537,9 @@ def test_homotopy_identity_on_sigma_n_cover():
     th0, th1 = random_refinement_pair(rng, space, V, U, 3)
     for n in (1, 2):
         sU = SigmaCover(space, U, n + 1)
-        phi = ss_random(space, coeffs, sU, n, rng)
-        lhs, rhs = check_homotopy_identity(space, coeffs, U, V, th0, th1, phi)
-        assert ss_equal(lhs, rhs)
+        phi = random_cochain(space, coeffs, sU, n, rng)
+        lhs, rhs = check_homotopy_identity(space, coeffs, sU, V, th0, th1, phi)
+        assert lhs == rhs
 
 
 def test_canonical_sigma_n_refinement():
@@ -553,9 +557,9 @@ def test_canonical_sigma_n_refinement():
     # pair the canonical refinement with a random one in the lemma
     _, other = random_refinement_pair(rng, space, V, base, 2)
     sU = SigmaCover(space, base, 2)
-    phi = ss_random(space, coeffs, sU, 1, rng)
-    lhs, rhs = check_homotopy_identity(space, coeffs, base, V, canonical, other, phi)
-    assert ss_equal(lhs, rhs)
+    phi = random_cochain(space, coeffs, sU, 1, rng)
+    lhs, rhs = check_homotopy_identity(space, coeffs, sU, V, canonical, other, phi)
+    assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +572,12 @@ def test_constant_comparison_partitions_exhaustive():
         comp = constant_space_comparison(npts, sets, group, top=2)
         sp, cf = comp.space, comp.coeffs
         for n in range(3):
-            for c in ss_basis(sp, cf, comp.plain, n):
-                assert ss_equal(comp.q(comp.iota(c)), c)
-            for phi in ss_basis(sp, cf, comp.sigma, n):
+            q, iota = comp.q(n), comp.iota(n)
+            for c in basis_cochains(cf, comp.plain, n):
+                assert q.apply(iota.apply(c)) == c
+            for phi in basis_cochains(cf, comp.sigma, n):
                 lhs, rhs = comp.check_identities(phi)
-                assert ss_equal(lhs, rhs)
+                assert lhs == rhs
 
 
 def test_constant_comparison_overlap_random():
@@ -581,11 +586,11 @@ def test_constant_comparison_overlap_random():
     sp, cf = comp.space, comp.coeffs
     for n in range(3):
         for _ in range(2):
-            c = ss_random(sp, cf, comp.plain, n, rng)
-            assert ss_equal(comp.q(comp.iota(c)), c)
-            phi = ss_random(sp, cf, comp.sigma, n, rng)
+            c = random_cochain(sp, cf, comp.plain, n, rng)
+            assert comp.q(n).apply(comp.iota(n).apply(c)) == c
+            phi = random_cochain(sp, cf, comp.sigma, n, rng)
             lhs, rhs = comp.check_identities(phi)
-            assert ss_equal(lhs, rhs)
+            assert lhs == rhs
 
 
 def test_constant_comparison_cohomology():
@@ -606,19 +611,24 @@ def test_one_set_cover_comparison_all_identities():
     comp = constant_space_comparison(2, [{0, 1}], FinAbGroup((6,)), top=2)
     sp, cf = comp.space, comp.coeffs
     for n in range(3):
-        for c in ss_basis(sp, cf, comp.plain, n):
-            assert ss_equal(comp.q(comp.iota(c)), c)
-        for phi in ss_basis(sp, cf, comp.sigma, n):
-            assert ss_equal(comp.iota(comp.q(phi)), phi)  # single index: iota q = id
+        q, iota = comp.q(n), comp.iota(n)
+        for c in basis_cochains(cf, comp.plain, n):
+            assert q.apply(iota.apply(c)) == c
+        for phi in basis_cochains(cf, comp.sigma, n):
+            assert iota.apply(q.apply(phi)) == phi  # single index: iota q = id
             lhs, rhs = comp.check_identities(phi)
-            assert ss_equal(lhs, rhs)
+            assert lhs == rhs
 
 
 def _comparison_homotopy(comp, phi):
-    """H of the constant-space comparison: identity theta0, vertex-coherent
-    substitution in the second branch."""
-    return homotopy_operator(comp.space, comp.coeffs, comp.sigma, comp.sigma, comp.cover,
-                             lambda r, label: label, None, phi, vertex_sub=True)
+    """H of the constant-space comparison (identity theta0, vertex-coherent
+    substitution in the second branch) applied to phi, by cells."""
+    n = phi.degree
+    cells = {(label, p): i for i, (label, p, _)
+             in enumerate(complex_coordinates(comp.space, comp.coeffs, comp.sigma, n))}
+    h = homotopy_operator(comp.space, comp.coeffs, comp.sigma, comp.sigma, comp.cover,
+                          lambda r, label: label, None, n, cells, vertex_sub=True)
+    return cochain_by_cells(comp.sigma, h.apply(phi))
 
 
 @pytest.mark.parametrize("sets", [[{0}, {1}], [{0, 1}, {1}]])
@@ -629,8 +639,9 @@ def test_h_explicit_low_degree_formulas(sets):
     comp = constant_space_comparison(2, sets, FinAbGroup((4,)), top=2)
     sp, cf = comp.space, comp.coeffs
     rng = random.Random(5)
-    phi = ss_random(sp, cf, comp.sigma, 1, rng)
+    phi = random_cochain(sp, cf, comp.sigma, 1, rng)
     h = _comparison_homotopy(comp, phi)
+    phi = cochain_by_cells(comp.sigma, phi)
     slots1 = comp.sigma.slots(1)
     pos1 = {s: i for i, s in enumerate(slots1)}
     for lam in comp.sigma.indices(0):
@@ -640,11 +651,12 @@ def test_h_explicit_low_degree_formulas(sets):
         big[pos1[(1,)]] = l0
         big[pos1[(0, 1)]] = (l0[0], l0[0])
         big = tuple(big)
-        for p, v in h.data[lam].items():
-            assert v == phi.data[big][p]
+        for p, v in h[lam].items():
+            assert v == phi[big][p]
     # degree 2 on a vertex-coherent lambda
-    phi2 = ss_random(sp, cf, comp.sigma, 2, rng)
+    phi2 = random_cochain(sp, cf, comp.sigma, 2, rng)
     h2 = _comparison_homotopy(comp, phi2)
+    phi2 = cochain_by_cells(comp.sigma, phi2)
     slots2 = comp.sigma.slots(2)
     pos2 = {s: i for i, s in enumerate(slots2)}
     for lam in comp.sigma.indices(1):
@@ -664,5 +676,164 @@ def test_h_explicit_low_degree_formulas(sets):
         second[pos2[(0, 1, 2)]] = (a, b, b)
         first, second = tuple(first), tuple(second)
         fib = FinAbGroup((4,))
-        for p, v in h2.data[lam].items():
-            assert v == fib.sub(phi2.data[first][p], phi2.data[second][p])
+        for p, v in h2[lam].items():
+            assert v == fib.sub(phi2[first][p], phi2[second][p])
+
+
+# ---------------------------------------------------------------------------
+# the cell tables against the dictionary references, and as maps
+
+
+def _oracle_families(seed, twisted=False):
+    """A seeded space and coefficients with two sigma families and a
+    refinement between them; twisted: the nerve of C2 acting by -1 on Z/3,
+    so that face 0 restricts by a nontrivial action."""
+    rng = random.Random(seed)
+    if twisted:
+        space, coeffs = NerveSpace(C2), ModuleCoefficients(_twisted_c2(3))
+    else:
+        space, coeffs, _ = _random_space_and_coeffs(rng)
+    fine = _random_fine_cover(rng, space, 3)
+    coarse = random_coarsening(rng, space, fine, 3, max_sets=2)
+    theta, _ = random_refinement_pair(rng, space, fine, coarse, 3)
+    return rng, space, coeffs, SigmaCover(space, coarse, 3), SigmaCover(space, fine, 3), theta
+
+
+@pytest.mark.parametrize("seed, twisted", [(s, False) for s in range(10)] + [(0, True), (1, True)])
+def test_table_walks_match_the_cell_oracles(seed, twisted):
+    """d and theta* walked on flat cochains equal the face-by-face and
+    pull-back references on dictionaries, degrees 0-2."""
+    rng, space, coeffs, sU, sV, theta = _oracle_families(seed, twisted)
+    for n in range(3):
+        for fam in (sU, sV):
+            c = random_cochain(space, coeffs, fam, n, rng)
+            want = coboundary_by_cells(space, coeffs, fam, n, cochain_by_cells(fam, c))
+            assert cochain_by_cells(fam, face_table(space, coeffs, fam, n).apply(c)) == want
+        c = random_cochain(space, coeffs, sU, n, rng)
+        slots = sV.slots(n)
+        want = pull_back_by_cells(sV, n, cochain_by_cells(sU, c), lambda label: tuple(
+            theta.theta(len(s) - 1, i) for s, i in zip(slots, label)))
+        got = refinement_map(space, coeffs, sU, sV, theta, n).apply(c)
+        assert cochain_by_cells(sV, got) == want
+
+
+@pytest.mark.parametrize("npts, sets", [(2, [{0}, {1}]), (3, [{0, 1}, {1, 2}])])
+def test_comparison_tables_match_the_cell_oracles(npts, sets):
+    comp = constant_space_comparison(npts, sets, FinAbGroup((4,)), top=2)
+    sp, cf = comp.space, comp.coeffs
+    rng = random.Random(npts)
+    for n in range(3):
+        slots = comp.sigma.slots(n)
+        vertices = [slots.index((m,)) for m in range(n + 1)]
+        c = random_cochain(sp, cf, comp.sigma, n, rng)
+        want = pull_back_by_cells(comp.plain, n, cochain_by_cells(comp.sigma, c),
+                                  lambda label: tuple(tuple(label[v] for v in S) for S in slots))
+        assert cochain_by_cells(comp.plain, comp.q(n).apply(c)) == want
+        c = random_cochain(sp, cf, comp.plain, n, rng)
+        want = pull_back_by_cells(comp.sigma, n, cochain_by_cells(comp.plain, c),
+                                  lambda lam: tuple(lam[i][0] for i in vertices))
+        assert cochain_by_cells(comp.sigma, comp.iota(n).apply(c)) == want
+        # sigma level 3 of the overlapping cover has 2^32 indices per point
+        for fam in (comp.sigma, comp.plain) if n < 2 else (comp.plain,):
+            c = random_cochain(sp, cf, fam, n, rng)
+            want = coboundary_by_cells(sp, cf, fam, n, cochain_by_cells(fam, c))
+            assert cochain_by_cells(fam, face_table(sp, cf, fam, n).apply(c)) == want
+
+
+def test_random_cochain_draws_as_the_cell_form_did():
+    """The same values from the same stream, so seeded homotopy checks keep
+    their instances."""
+    for seed in range(50):
+        _, space, coeffs, sU, _, _ = _oracle_families(seed)
+        n = seed % 3
+        a, b = random.Random(seed), random.Random(seed)
+        assert (cochain_by_cells(sU, random_cochain(space, coeffs, sU, n, a))
+                == random_cochain_by_cells(coeffs, sU, n, b))
+        assert a.getstate() == b.getstate()
+
+
+def _plus(a, b, scale=1):
+    """a + scale * b, column by column."""
+    cols = []
+    for x, y in zip(a.columns, b.columns):
+        col = dict(x)
+        for i, v in y.items():
+            col[i] = col.get(i, 0) + scale * v
+        cols.append(col)
+    return AbHom.from_columns(a.source, a.target, cols)
+
+
+def _homotopy_side_matrix(space, coeffs, sU, sV, fine_cover, theta0, theta1, n,
+                          vertex_sub=False):
+    """dH + Hd on the whole basis of C^n(sigma coarse), as one AbHom; Hd
+    assembles only the face rows of the level-(n+1) cells H reads."""
+    def h(k, cells):
+        return homotopy_operator(space, coeffs, sU, sV, fine_cover, theta0, theta1, k, cells,
+                                 vertex_sub).hom()
+
+    needed = {}
+    h_up = h(n + 1, needed)
+    side = h_up.compose(face_table(space, coeffs, sU, n, list(needed)).hom())
+    if n:
+        index = {(label, p): i for i, (label, p, _)
+                 in enumerate(complex_coordinates(space, coeffs, sU, n))}
+        side = _plus(side, face_table(space, coeffs, sV, n - 1).hom().compose(h(n, index)))
+    return side
+
+
+def _scaled(h, k):
+    return AbHom.from_columns(h.source, h.target,
+                              [{i: k * x for i, x in col.items()} for col in h.columns])
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_homotopy_identity_as_matrices(order):
+    """dH + Hd = theta1* - theta0* as sparse matrices on the whole basis,
+    nerve of C2, maximal cover refining two coarsenings and itself. Over Z/4
+    the swapped difference theta0* - theta1* and 2H must fail wherever
+    theta1* != theta0*."""
+    rng = random.Random(18)
+    space = NerveSpace(C2)
+    coeffs = ModuleCoefficients(constant_module(C2, FinAbGroup((order,))))
+    V = MaximalSimplicialCover(space)
+    coarse = [random_coarsening(rng, space, V, 3, max_sets=2) for _ in range(2)]
+    distinct = 0
+    for U in coarse + [V]:
+        th0, th1 = random_refinement_pair(rng, space, V, U, 3)
+        sU, sV = SigmaCover(space, U, 3), SigmaCover(space, V, 3)
+        for n in range(3):
+            side = _homotopy_side_matrix(space, coeffs, sU, sV, V, th0, th1, n)
+            r1, r0 = (refinement_map(space, coeffs, sU, sV, th, n) for th in (th1, th0))
+            rhs = assemble_coboundary(r1.source, r1.target,
+                                      [a + b for a, b in zip(r1.rows, r0.rows)])
+            assert side.equals(rhs), (n, U)
+            if order == 4 and not rhs.is_zero():
+                distinct += 1
+                swapped = assemble_coboundary(r1.source, r1.target,
+                                              [b + a for a, b in zip(r1.rows, r0.rows)])
+                assert not side.equals(swapped)
+                assert not _scaled(side, 2).equals(rhs)
+    assert order == 2 or distinct >= 2
+
+
+@pytest.mark.parametrize("npts, sets, order", [
+    (2, [{0}, {1}], 2), (2, [{0, 1}, {1}], 4), (3, [{0}, {1}, {2}], 3),
+    (3, [{0, 1}, {1, 2}], 4)])
+def test_comparison_identities_as_matrices(npts, sets, order):
+    """q iota = id and dH + Hd = iota q - id as sparse matrices on the whole
+    basis of the 2- and 3-point constant spaces; over Z/4 with overlapping
+    pieces, 2H must fail."""
+    comp = constant_space_comparison(npts, sets, FinAbGroup((order,)), top=2)
+    sp, cf = comp.space, comp.coeffs
+    moved = 0
+    for n in range(3):
+        q, iota = comp.q(n).hom(), comp.iota(n).hom()
+        assert q.compose(iota).equals(AbHom.identity(iota.source))
+        rhs = _plus(iota.compose(q), AbHom.identity(q.source), scale=-1)
+        side = _homotopy_side_matrix(sp, cf, comp.sigma, comp.sigma, comp.cover,
+                                     lambda r, label: label, None, n, vertex_sub=True)
+        assert side.equals(rhs)
+        if order == 4 and not rhs.is_zero():
+            moved += 1
+            assert not _scaled(side, 2).equals(rhs)
+    assert order != 4 or moved

@@ -159,6 +159,17 @@ EXTENSION_FAILURES = {
 }
 
 
+def test_validate_extension_reports_a_missing_inj_entry():
+    # the additivity and conjugation checks read inj after the miss is reported
+    split = ext_classes(C2, A22).class_of_coefficients((0,)).extension
+    inj = dict(split.inj)
+    del inj[(0, (1,))]
+    rep = validate_extension(dataclasses.replace(split, inj=inj))
+    assert not rep.ok
+    assert rep.failures[0] == "inj misses (0, (1,))"
+    assert "inj not additive at object 0" in rep.failures
+
+
 def test_lift_search_leaves_no_reference_cycle():
     _, E = nonsplit_extension()
     split = strictly_trivial_extension(C2, A22)

@@ -435,3 +435,39 @@ task: cohomology 0..2
     results, code = run(doc)
     assert code == 0
     assert results[0].lines == ["H^0=0 H^1=0 H^2=0"]
+
+
+def _c3_table(products):
+    return ("groupoid: table\nobject: x\narrow: e x x\narrow: a x x\narrow: b x x\n"
+            + "".join(f"compose: {line}\n" for line in products)
+            + "unit: x e\nmodule: constant 3\n")
+
+
+C3_PRODUCTS = ("e e e", "e a a", "e b b", "a e a", "a b e", "b e b", "b a e", "b b a")
+
+
+@pytest.mark.parametrize("products, failure", [
+    # a a = b left out: the nerve read the missing product
+    (C3_PRODUCTS, "comp defined on (1,1) iff composable violated"),
+    # a a = a in its place: elimination met an image outside the kernel
+    (C3_PRODUCTS + ("a a a",), "associativity fails at (1,1,2)"),
+])
+@pytest.mark.parametrize("task", ["cohomology 0..2", "ext"])
+def test_broken_table_is_a_task_error(tmp_path, capsys, products, failure, task):
+    path = tmp_path / "doc.gpd"
+    path.write_text(_c3_table(products) + f"task: {task}\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    line = 8 + len(products)  # the task line
+    assert f"task error: line {line}: the document's tables fail validation: {failure}" in err
+    # a lone validate task still reports every failure, with exit 1
+    path.write_text(_c3_table(products) + "task: validate\n")
+    assert main(["run", str(path)]) == 1
+    assert "[FAIL] validate" in capsys.readouterr().out
+
+
+def test_valid_tables_pay_one_validation():
+    doc = parse(_c3_table(C3_PRODUCTS + ("a a b",)) + "task: cohomology 0..2\ntask: ext\n")
+    assert doc.explicit and not parse(BUILDER_DOC).explicit
+    results, code = run(doc)
+    assert code == 0 and [r.name for r in results] == ["cohomology", "ext"]
