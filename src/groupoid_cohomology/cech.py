@@ -28,10 +28,11 @@ are homotopic through the explicit operator H, a table of n entries a row,
 whose index combinatorics (alpha_k, with the three-way case split) is
 implemented verbatim.
 
-Every complex family prunes its cover to the nonempty pieces, sigma U being
-the family of its own slot cover; pruning is face-closed, so the pruned and
+Structure maps are tables on point positions (`NerveSpace.table`). Every
+complex family prunes its cover to the nonempty pieces, sigma U being the
+family of its own slot cover; pruning is face-closed, so the pruned and
 unpruned complexes agree. Each level is checked against the active `Budget`
-(`use_budget`) when it is first built: candidates, indices per point, cells.
+when it is first built: candidates, indices per point, cells.
 """
 
 from __future__ import annotations
@@ -52,22 +53,40 @@ from .groupoid import (DEFAULT_BUDGET, Budget, BudgetExceeded, MonotoneMap,  # n
 
 
 class NerveSpace:
-    """The nerve of a finite groupoid as a simplicial space."""
+    """The nerve of a finite groupoid as a simplicial space; its maps are tables."""
 
     def __init__(self, groupoid):
         self.groupoid = groupoid
-        self._smap_cache = {}
+        self._tables = {}
 
     def points(self, n):
         return self.groupoid.nerve(n)
 
-    def smap(self, f, point):
-        key = (f, point)
-        out = self._smap_cache.get(key)
+    def position(self, n, point):
+        """The position of a point in points(n), from `nerve_index` (level 0: the object)."""
+        return point.obj if n == 0 else self.groupoid.nerve_index(n)[point.arrows]
+
+    def table(self, f):
+        """f~ for f: [k] -> [n]: per point of level n, by position, the position
+        of its image. A strictly increasing f is eps_j o f' (j the largest value
+        it omits), so its table reads the groupoid's face table, then that of
+        f'; any other f is tabulated by `simplicial_map`."""
+        out = self._tables.get(f)
         if out is None:
-            out = simplicial_map(self.groupoid, f, point)
-            self._smap_cache[key] = out
+            G, n, v = self.groupoid, f.codomain, f.values
+            if v == tuple(range(n + 1)):
+                out = range(len(self.points(n)))
+            elif all(a < b for a, b in zip(v, v[1:])):
+                j = max(set(range(n + 1)).difference(v))
+                inner = self.table(MonotoneMap(n - 1, tuple(x - (x > j) for x in v)))
+                out = [inner[faces[j]] for faces in G.face_table(n - 1)]
+            else:
+                out = [self.position(f.domain, simplicial_map(G, f, p)) for p in self.points(n)]
+            self._tables[f] = out
         return out
+
+    def smap(self, f, point):  # f~(point), read off `table`
+        return self.points(f.domain)[self.table(f)[self.position(f.codomain, point)]]
 
 
 class ConstantSpace:
@@ -78,6 +97,12 @@ class ConstantSpace:
         self._pts = tuple(range(n_points))
 
     def points(self, n):
+        return self._pts
+
+    def position(self, n, point):
+        return point
+
+    def table(self, f):
         return self._pts
 
     def smap(self, f, point):
@@ -205,7 +230,7 @@ class MaximalSimplicialCover:
 
 def nonempty_pieces(space, cover, n, stage):
     """The nonempty pieces of a cover at level n: label -> sorted points,
-    labels sorted, read off `cover.containing` point by point.
+    labels sorted, read off `cover.containing` at the points by position.
 
     Every pruned family is built here; more cells than the active
     `max_cells` raises, naming the stage.
@@ -227,7 +252,7 @@ class _SlotCover:
 
     The covers differ only in their slot maps: maps(k, n) for k up to
     max_domain (None: up to n). The candidate set is exponential, so
-    everything is evaluated per point or per label, under the active budget.
+    containment is built a level at a time, under the active budget.
     """
 
     stage = None
@@ -237,6 +262,7 @@ class _SlotCover:
         self._slot_kind = (maps, max_domain)
         self._level_slots = {}
         self._reindex_tables = {}
+        self._held = {}  # level n, or ("base", k): the base's containment at level k
 
     def _slots_at(self, n):
         """The slot maps of level n, by domain, then lexicographically, and
@@ -259,19 +285,37 @@ class _SlotCover:
         return itertools.product(*(self.base.indices(f.domain) for f in self._slots_at(n)[0]))
 
     def set_of(self, n, label):
-        return frozenset(p for p in self.space.points(n)
-                         if all(self.space.smap(f, p) in self.base.set_of(f.domain, i)
+        """The piece of a label by `simplicial_map`: the reference for the tables."""
+        space = self.space
+        image = ((lambda f, p: p) if isinstance(space, ConstantSpace)
+                 else functools.partial(simplicial_map, space.groupoid))
+        return frozenset(p for p in space.points(n)
+                         if all(image(f, p) in self.base.set_of(f.domain, i)
                                 for f, i in zip(self._slots_at(n)[0], label)))
 
     def containing(self, n, point):
-        """The product over the slots f of the base indices containing f~(point),
-        its size checked before it is enumerated."""
-        pools = [self.base.containing(f.domain, self.space.smap(f, point))
-                 for f in self._slots_at(n)[0]]
-        total = prod(map(len, pools))
-        _guard("max_per_point", total,
-               f"too many nonempty {self.stage} indices per point: {total} at level {n}")
-        return tuple(itertools.product(*pools))
+        """The indices whose piece holds the point, read off `containing_level`."""
+        return self.containing_level(n)[self.space.position(n, point)]
+
+    def containing_level(self, n):
+        """For each point of level n, by position, the product over the slots f
+        of the base indices containing f~(point), each product's size checked
+        before it is enumerated; built once per level."""
+        out = self._held.get(n)
+        if out is None:
+            space, held, pools, out = self.space, self._held, [], []
+            for f in self._slots_at(n)[0]:
+                k = ("base", f.domain)
+                if k not in held:
+                    held[k] = [self.base.containing(f.domain, p) for p in space.points(f.domain)]
+                pools.append([held[k][i] for i in space.table(f)])
+            for point_pools in zip(*pools):
+                total = prod(map(len, point_pools))
+                _guard("max_per_point", total,
+                       f"too many nonempty {self.stage} indices per point: {total} at level {n}")
+                out.append(tuple(itertools.product(*point_pools)))
+            held[n] = out
+        return out
 
     def _reindex(self, g, label):
         """(g~ lambda)(f) = lambda(g o f) for g: [a] -> [b], label at level b,
@@ -283,7 +327,7 @@ class _SlotCover:
             table = tuple(pos[tuple(g.values[v] for v in f.values)]
                           for f in self._slots_at(g.domain)[0])
             self._reindex_tables[key] = table
-        return tuple(label[i] for i in table)
+        return tuple(map(label.__getitem__, table))
 
 
 class SigmaNSimplicialCover(_SlotCover):
@@ -460,13 +504,18 @@ def face_table(space, coeffs, fam, n, cells=None):
     all of them; the homotopy passes only the cells that H reads, so a level
     too large to enumerate never is.
     """
-    index = fam.cells(n)
+    index, points = fam.cells(n), space.points(n)
     if cells is None:
         cells = fam.cells(n + 1)
     faces = [MonotoneMap.face(n + 1, k) for k in range(n + 2)]
-    rows = [tuple((index[fam.face_index(k, n + 1, label), space.smap(eps, p)],
-                   coeffs.restrict(eps, p)) for k, eps in enumerate(faces))
-            for label, p in cells]
+    tables = [space.table(eps) for eps in faces]
+    face_labels = {label: [fam.face_index(k, n + 1, label) for k in range(n + 2)]
+                   for label in dict.fromkeys(label for label, _ in cells)}
+    rows = []
+    for label, p in cells:
+        i = space.position(n + 1, p)
+        rows.append(tuple((index[lab, points[table[i]]], coeffs.restrict(eps, p))
+                          for lab, eps, table in zip(face_labels[label], faces, tables)))
     return CellMap(n + 1, [coeffs.fiber(n, p) for _, p in index],
                    [coeffs.fiber(n + 1, p) for _, p in cells], rows)
 

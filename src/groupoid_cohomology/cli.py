@@ -45,14 +45,15 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 
-from .abelian import AbHom, FinAbGroup, IntegerMatrix, ShapeError
+from .abelian import AbHom, FinAbGroup, IntegerMatrix, ShapeError, homology_at
 from .cech import (
     BudgetExceeded,
     Budget,
     MaximalSimplicialCover,
     ModuleCoefficients,
     NerveSpace,
-    cech_cohomology_on_cover,
+    assemble_complex,
+    sigma_cover,
     single_set_cover,
     use_budget,
 )
@@ -63,7 +64,7 @@ from .classify import (
     ext_classes,
     is_strictly_trivial,
 )
-from .cohomology import cohomology, is_coboundary
+from .cohomology import cochain_complex, cohomology, is_coboundary
 from .gmodule import GModule, constant_module, validate_module
 from .groupoid import (
     FiniteGroupoid,
@@ -388,6 +389,7 @@ def run(doc, max_degree=3, seed=0):
 
     Explicit tables are validated once, before the first task other than
     `validate`: a failure there is a DocumentError naming the first failure.
+    A DocumentError carries the results of the tasks that finished before it.
     """
     results = []
     G, A = doc.groupoid, doc.module
@@ -404,14 +406,14 @@ def run(doc, max_degree=3, seed=0):
     for args, line_no in doc.tasks:
         words = args.split()
         name = words[0] if words else ""
-        _at_most(words, _TASK_WORDS.get(name, len(words)), line_no)
-        if unchecked and name != "validate":
-            unchecked = False
-            failures = validate(G).failures or validate_module(A).failures
-            if failures:
-                raise DocumentError(line_no, f"the document's tables fail validation: "
-                                             f"{failures[0]}")
         try:
+            _at_most(words, _TASK_WORDS.get(name, len(words)), line_no)
+            if unchecked and name != "validate":
+                unchecked = False
+                failures = validate(G).failures or validate_module(A).failures
+                if failures:
+                    raise DocumentError(line_no, f"the document's tables fail validation: "
+                                                 f"{failures[0]}")
             if name == "validate":
                 rep = validate(G)
                 mrep = validate_module(A)
@@ -516,12 +518,13 @@ def run(doc, max_degree=3, seed=0):
                     cov = single_set_cover(space, top + 1)
                 else:
                     raise DocumentError(line_no, f"unknown cech cover spec {style!r}")
+                cech = assemble_complex(space, coeffs, sigma_cover(space, cov, top + 1), top + 1)
+                groupoid = cochain_complex(G, A, top + 1)
                 ok = True
                 lines = []
                 rows = {}
                 for n in range(top + 1):
-                    left = cech_cohomology_on_cover(space, coeffs, cov, n)
-                    right = cohomology(G, A, n)
+                    left, right = homology_at(cech, n), homology_at(groupoid, n)
                     same = left == right
                     ok = ok and same
                     lines.append(f"H^{n}: cech({style})={left} groupoid={right}"
@@ -542,6 +545,9 @@ def run(doc, max_degree=3, seed=0):
             results.append(TaskResult(name, False, [f"budget exceeded: {exc}"],
                                       {"budget_exceeded": str(exc)}))
             return results, 3
+        except DocumentError as exc:
+            exc.results = results
+            raise
     code = 0 if all(r.ok for r in results) else 1
     return results, code
 
@@ -608,12 +614,12 @@ def main(argv=None):
         doc.tasks = [(f"homotopy-check {args.seed} {args.count}", 0)]
 
     caps = {} if args.budget is None else {f.name: args.budget for f in fields(Budget)}
+    error = None
     try:
         with use_budget(Budget(**caps)):
             results, code = run(doc, max_degree=args.max_degree, seed=args.seed)
     except DocumentError as exc:
-        print(f"task error: {exc}", file=sys.stderr)
-        return 2
+        results, code, error = exc.results, 2, exc
 
     for r in results:
         status = "ok" if r.ok else "FAIL"
@@ -623,6 +629,8 @@ def main(argv=None):
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(results_to_json(results))
+    if error is not None:
+        print(f"task error: {error}", file=sys.stderr)
     return code
 
 

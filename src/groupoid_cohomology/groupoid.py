@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class StructureError(ValueError):
@@ -59,16 +61,12 @@ def _guard(cap, size, message):
         raise BudgetExceeded(message, estimate=size)
 
 
-_FACE_CACHE = {}
-_DEGENERACY_CACHE = {}
-
-
-@dataclass(frozen=True, order=True)
-class NerveTuple:
+class NerveTuple(NamedTuple):
     """A composable tuple (g1, ..., gn); level 0 stores just an object.
 
     `obj` is the range of the first arrow (the 0-th vertex); for level 0 it is
-    the object itself. Tuples are ordered, so they can serve as cover indices.
+    the object itself. Tuples are ordered, so they can serve as cover indices;
+    hashing, order and equality are those of the plain tuple (obj, arrows).
     """
 
     obj: int
@@ -107,28 +105,20 @@ class MonotoneMap:
         return cls(n, tuple(range(n + 1)))
 
     @classmethod
+    @functools.cache
     def face(cls, n, i):
         """eps_i: [n-1] -> [n], the increasing injection avoiding i."""
-        key = (n, i)
-        out = _FACE_CACHE.get(key)
-        if out is None:
-            if not 0 <= i <= n:
-                raise ValueError("face index out of range")
-            out = cls(n, tuple(v for v in range(n + 1) if v != i))
-            _FACE_CACHE[key] = out
-        return out
+        if not 0 <= i <= n:
+            raise ValueError("face index out of range")
+        return cls(n, tuple(v for v in range(n + 1) if v != i))
 
     @classmethod
+    @functools.cache
     def degeneracy(cls, n, i):
         """eta_i: [n+1] -> [n], the surjection hitting i twice."""
-        key = (n, i)
-        out = _DEGENERACY_CACHE.get(key)
-        if out is None:
-            if not 0 <= i <= n:
-                raise ValueError("degeneracy index out of range")
-            out = cls(n, tuple(range(i + 1)) + tuple(range(i, n + 1)))
-            _DEGENERACY_CACHE[key] = out
-        return out
+        if not 0 <= i <= n:
+            raise ValueError("degeneracy index out of range")
+        return cls(n, tuple(range(i + 1)) + tuple(range(i, n + 1)))
 
     def compose(self, other):
         """self o other, for other: [l] -> [domain of self]."""
@@ -232,8 +222,6 @@ class FiniteGroupoid:
 
     def vertices(self, t):
         """Objects x0, ..., xn along a nerve tuple."""
-        if t.level == 0:
-            return (t.obj,)
         return (t.obj,) + tuple(self.src[g] for g in t.arrows)
 
     def nerve_count(self, n):
@@ -279,9 +267,9 @@ class FiniteGroupoid:
     def face_table(self, n):
         """For each level-(n+1) tuple, the positions in nerve(n) of its n+2 faces.
 
-        Every coboundary of the groupoid complex reads this table; the Cech
-        complexes of a `NerveSpace` build their own face table, one row per
-        cell of a cover family, through `simplicial_map` (`cech.face_table`).
+        Every coboundary of the groupoid complex reads this table; on the
+        Cech side `cech.NerveSpace.table` composes its columns into the table
+        of each strictly increasing structure map, by point position.
         Faces are formed on plain arrow tuples: at level 0 they are the
         source and range objects, at level 1 arrow ids, and above that they
         are looked up in `nerve_index`. `face` is the per-tuple definition.

@@ -12,8 +12,9 @@ have reference versions too: a dense assembler into row lists, and the
 elimination with the bucket-scan pivot search that the heap replaced.
 Cech cochains have the dictionary form {label: {point: value}} that the
 cell tables of `cech` replaced: a coboundary summed face by face on
-`MonotoneMap.face`, `space.smap` and `coeffs.restrict`, a pull-back along an
-index map, and the random cochain as that form drew it.
+`MonotoneMap.face`, `groupoid.simplicial_map` (not the spaces' structure-map
+tables) and `coeffs.restrict`, a pull-back along an index map, and the random
+cochain as that form drew it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from math import gcd, lcm, prod
 from groupoid_cohomology.abelian import InvariantFactors
 from groupoid_cohomology.classify import Extension, NotACocycleError
 from groupoid_cohomology.cohomology import Cochain
-from groupoid_cohomology.groupoid import FiniteGroupoid, GroupoidMorphism, MonotoneMap, face
+from groupoid_cohomology.groupoid import (FiniteGroupoid, GroupoidMorphism, MonotoneMap, face,
+                                         simplicial_map)
 
 
 def cyclic_table(n):
@@ -556,7 +558,8 @@ def random_cochain_by_cells(coeffs, fam, n, rng):
 def coboundary_by_cells(space, coeffs, fam, n, data):
     """(dc)_i = sum_k (-1)^k eps_k~* c_{eps_k~(i)} at every level-(n+1) cell,
     each face formed by `MonotoneMap.face`, the family's face index,
-    `space.smap` and `coeffs.restrict`."""
+    `simplicial_map` (the identity on a constant space) and `coeffs.restrict`."""
+    G = getattr(space, "groupoid", None)
     out = {}
     for label in fam.indices(n + 1):
         out[label] = {}
@@ -565,7 +568,8 @@ def coboundary_by_cells(space, coeffs, fam, n, data):
             total = fib.zero()
             for k in range(n + 2):
                 eps = MonotoneMap.face(n + 1, k)
-                v = data[fam.face_index(k, n + 1, label)][space.smap(eps, p)]
+                v = data[fam.face_index(k, n + 1, label)][
+                    p if G is None else simplicial_map(G, eps, p)]
                 r = coeffs.restrict(eps, p)
                 if r is not None:
                     v = r.apply(v)

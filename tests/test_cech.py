@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 
 import pytest
@@ -53,13 +54,21 @@ from groupoid_cohomology.cohomology import (
     is_zero_cochain,
 )
 from groupoid_cohomology.gmodule import GModule, constant_module
-from groupoid_cohomology.groupoid import cyclic_group
+from groupoid_cohomology.groupoid import (
+    MonotoneMap,
+    all_monotone_maps,
+    all_strict_maps,
+    cyclic_group,
+    pair_groupoid,
+    simplicial_map,
+)
 from groupoid_cohomology.abelian import homology_at
 from groupoid_cohomology.randomized import (
     _random_fine_cover,
     _random_space_and_coeffs,
     random_coarsening,
     random_cochain,
+    random_instance,
     random_refinement_pair,
     run_homotopy_trials,
 )
@@ -180,6 +189,56 @@ def test_sigma_n_pieces_agree_with_containing(seed):
                           for _ in range(20))
             for label in labels:
                 assert V.set_of(n, label) == {p for p, held in holding.items() if label in held}
+
+
+def _nerve_position(G, k, t):
+    return t.obj if k == 0 else G.nerve_index(k)[t.arrows]
+
+
+@pytest.mark.parametrize("builder", [lambda: random_instance(random.Random(s))[0]
+                                     for s in range(50)]
+                         + [lambda: cyclic_group(3), lambda: pair_groupoid(3)],
+                         ids=[f"seed{s}" for s in range(50)] + ["cyclic3", "pair3"])
+def test_structure_map_tables_match_simplicial_map(builder):
+    """Each table sends a point's position to the nerve_index position of its
+    image under simplicial_map: every strictly increasing map into [n] for
+    n <= 4 (built from the face tables), every degeneracy [n+1] -> [n] for
+    n <= 3 and every monotone map [k] -> [n] for k, n <= 2 (built point by
+    point); smap reads the same image."""
+    G = builder()
+    space = NerveSpace(G)
+    maps = [f for n in range(5) for k in range(n + 1) for f in all_strict_maps(k, n)]
+    maps += [MonotoneMap.degeneracy(n, i) for n in range(4) for i in range(n + 1)]
+    maps += [f for n in range(3) for k in range(3) for f in all_monotone_maps(k, n)]
+    for f in maps:
+        table = space.table(f)
+        assert len(table) == len(G.nerve(f.codomain))
+        for i, t in enumerate(G.nerve(f.codomain)):
+            image = simplicial_map(G, f, t)
+            assert table[i] == _nerve_position(G, f.domain, image), (f, t)
+            assert space.smap(f, t) == image
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_containment_levels_are_the_per_point_products(seed):
+    """containing_level(n) lists, by position, the product over the slots of
+    the base indices holding simplicial_map's image of each point (the
+    point itself on a constant space); containing(n, p) reads it."""
+    _, space, fine, coarse = _random_space_and_covers(seed, 2)
+    G = getattr(space, "groupoid", None)
+    covers = [SigmaCover(space, cov, 2) for cov in (coarse, fine)]
+    covers += [SigmaNSimplicialCover(space, coarse, N=1)]
+    if isinstance(fine, SigmaNSimplicialCover):
+        covers.append(fine)
+    for V in covers:
+        for n in range(3):
+            slots = [MonotoneMap(n, s) if isinstance(s, tuple) else s for s in V.slots(n)]
+            level = V.containing_level(n)
+            assert len(level) == len(space.points(n))
+            for i, p in enumerate(space.points(n)):
+                pools = [V.base.containing(f.domain, p if G is None else simplicial_map(G, f, p))
+                         for f in slots]
+                assert level[i] == V.containing(n, p) == tuple(itertools.product(*pools))
 
 
 def test_differential_telescopes_on_constant_cochain():

@@ -4,7 +4,15 @@ from pathlib import Path
 import pytest
 from oracles import find_isomorphism
 
+from groupoid_cohomology.cech import (
+    MaximalSimplicialCover,
+    ModuleCoefficients,
+    NerveSpace,
+    cech_cohomology_on_cover,
+    single_set_cover,
+)
 from groupoid_cohomology.classify import are_equivalent, ext_classes
+from groupoid_cohomology.cohomology import cohomology
 from groupoid_cohomology.cli import (
     DocumentError,
     extension_from_dict,
@@ -368,6 +376,72 @@ def test_budget_reaches_cohomology_and_morita_tasks(tmp_path, capsys):
     path.write_text("groupoid: cyclic 3\nmodule: constant 3\ntask: morita 0|0\n")
     assert main(["--budget", "400", "run", str(path)]) == 3
     assert "cover groupoid nerve has 432 tuples at level 3" in capsys.readouterr().out
+
+
+def test_task_error_keeps_the_finished_tasks(tmp_path, capsys):
+    """A task error after finished tasks prints and writes them, as a
+    budget overrun does, then reports the error with exit 2."""
+    path, json_path = tmp_path / "doc.gpd", tmp_path / "out.json"
+    path.write_text("groupoid: cyclic 2\nmodule: constant 2\ntask: validate\n"
+                    "task: cech maximal 5\n")
+    assert main(["--json", str(json_path), "run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("[ok] validate\n")
+    assert err == "task error: line 4: degree 5 above --max-degree\n"
+    payload = json.loads(json_path.read_text())
+    assert [(t["task"], t["ok"]) for t in payload["tasks"]] == [("validate", True)]
+    with pytest.raises(DocumentError) as info:
+        run(parse(path.read_text()))
+    assert [r.name for r in info.value.results] == ["validate"]
+
+
+CECH_HEADERS = [
+    "groupoid: cyclic 3\nmodule: constant 3",
+    "groupoid: pair 2\nmodule: constant 2",
+    "groupoid: unit 2\nmodule: constant 2",
+    "groupoid: action 2 on 2 perm 1 0\nmodule: constant 2",
+    "groupoid: cover cyclic 2 sets 0|0\nmodule: constant 2",
+    TABLE_DOC.replace("task: validate\n", "").strip(),
+    "groupoid: cyclic 2\nmodule: fibers\nfiber: 0 3\naction: 1 [[2]]",
+]
+
+
+@pytest.mark.parametrize("style", ["maximal", "single"])
+@pytest.mark.parametrize("header", CECH_HEADERS, ids=lambda h: h.split("\n")[0])
+def test_cech_task_rows_match_the_per_degree_calls(header, style):
+    """The cech task reads every degree off one sigma family: its rows at
+    degrees 0-3 are those of cech_cohomology_on_cover and cohomology
+    called degree by degree."""
+    doc = parse(f"{header}\ntask: cech {style} 3\n")
+    (result,), code = run(doc)
+    assert code == 0 and result.ok
+    G, A = doc.groupoid, doc.module
+    space = NerveSpace(G)
+    cover = MaximalSimplicialCover(space) if style == "maximal" else single_set_cover(space, 4)
+    for n in range(4):
+        for side, factors in [
+                ("cech", cech_cohomology_on_cover(space, ModuleCoefficients(A), cover, n)),
+                ("groupoid", cohomology(G, A, n))]:
+            assert result.data["rows"][str(n)][side] == {"torsion": list(factors.torsion),
+                                                         "free_rank": factors.free_rank}
+
+
+@pytest.mark.parametrize("task, budget, message", [
+    ("cyclic 3\nmodule: constant 3\ntask: cech maximal 3", 2, "sigma level 1 has 3 cells"),
+    ("cyclic 3\nmodule: constant 3\ntask: cech maximal 3", 30, "nerve level 4 has 81 tuples"),
+    ("cyclic 3\nmodule: constant 3\ntask: cech single 3", 12, "nerve level 3 has 27 tuples"),
+    ("pair 3\nmodule: constant 2\ntask: cech maximal 2", 1, "sigma level 0 has 3 cells"),
+    ("pair 3\nmodule: constant 2\ntask: cech maximal 2", 5, "sigma level 1 has 9 cells"),
+    ("pair 3\nmodule: constant 2\ntask: cech maximal 2", 20, "nerve level 2 has 27 tuples"),
+])
+def test_cech_task_budget_overrun_names_its_stage_and_level(tmp_path, capsys, task, budget,
+                                                            message):
+    """The one-family cech task meets the first overrun the degree-by-degree
+    task met: the same stage, level and estimate, with exit 3."""
+    path = tmp_path / "doc.gpd"
+    path.write_text(f"groupoid: {task}\n")
+    assert main(["--budget", str(budget), "run", str(path)]) == 3
+    assert f"  budget exceeded: {message}\n" in capsys.readouterr().out
 
 
 def test_budget_exit_code(tmp_path):

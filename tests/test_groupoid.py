@@ -101,6 +101,19 @@ def test_nerve_counts():
     assert [t.obj for t in C2.nerve(0)] == [0]
 
 
+def test_nerve_tuple_keeps_the_hash_order_and_repr_of_its_fields():
+    """A NerveTuple hashes, orders and prints as the frozen ordered
+    dataclass it replaced did, so set and dict iteration orders stay put;
+    it also equals the plain tuple (obj, arrows)."""
+    pts = [t for G in (cyclic_group(2), pair_groupoid(2)) for n in range(3) for t in G.nerve(n)]
+    for t in pts:
+        assert hash(t) == hash((t.obj, t.arrows))
+        assert t == (t.obj, t.arrows) and t.level == len(t.arrows)
+    assert all((a < b) == ((a.obj, a.arrows) < (b.obj, b.arrows)) for a in pts for b in pts)
+    assert repr(NerveTuple(0, (1, 2))) == "NerveTuple(obj=0, arrows=(1, 2))"
+    assert repr(NerveTuple(3)) == "NerveTuple(obj=3, arrows=())"
+
+
 def test_face_examples():
     C2 = cyclic_group(2)
     t = NerveTuple(0, (1, 1))  # (s, s)
