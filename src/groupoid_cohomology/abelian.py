@@ -2,11 +2,14 @@
 
 Everything is integer-exact, in arbitrary-precision Python ints. Groups are
 presented by generator orders (order 0 encodes an infinite cyclic factor, so
-reduction "mod 0" is no reduction) and homomorphisms by sparse columns. The
+reduction "mod 0" is no reduction) and homomorphisms by sparse columns. A
+complex is reduced once (`AbComplex.cancelled`): each unit entry joining two
+cells of equal order spans an acyclic summand, which is cancelled. The
 invariant factors of homology come from a sparse elimination on unit pivots
-modulo the orders, with dense Smith normal form (SNF) only on the residual
-block; membership witnesses (h x = b) come from the same sparse kernel. The
-dense SNF with transforms still picks representative generators.
+modulo the orders of what is left, with dense Smith normal form (SNF) only
+on the residual block, with no relation columns when its rows are finite;
+membership witnesses (h x = b) come from the same sparse kernel. The dense
+SNF with transforms still picks representative generators.
 
 >>> M = IntegerMatrix.from_rows([[2, 4], [6, 8]])
 >>> S, U, V = smith_normal_form(M)
@@ -512,6 +515,46 @@ class AbComplex:
         return all(self.maps[n + 1].compose(self.maps[n]).is_zero()
                    for n in range(len(self.maps) - 1))
 
+    @functools.cached_property
+    def cancelled(self):
+        """The complex with its unit pairs cancelled: the same homology in every
+        degree, on fewer cells. Built once, on first read.
+
+        A pivot (r, c) of maps[n], a unit mod the order o of row r in a column
+        whose cell c also has order o, spans the acyclic subcomplex
+        <c> -> <dc>, an isomorphism Z/o -> Z/o, so C -> C/<c, dc> is a
+        quasi-isomorphism (Kaczynski, Mrozek and Slusarek, "Homology
+        computation by reduction of chain complexes", 1998). In the quotient
+        maps[n] is the Schur complement that _unit_eliminate leaves, maps[n+1]
+        loses column r and maps[n-1] loses row c. The maps are walked from
+        degree 0 up, each restricted to its live cells, so one _unit_eliminate
+        per map cancels every pair it finds.
+
+        The cancellation is sound on a complex only. Raises ArithmeticError,
+        before any elimination, unless every map is well defined (diag(orders)
+        lies in its kernel) and maps[n] o maps[n-1] = 0.
+        """
+        if not (all(hom_is_well_defined(h) for h in self.maps) and self.is_complex()):
+            raise ArithmeticError("image does not lie in the kernel; not a complex")
+        cols = [[_reduced(col, h.target.orders) for col in h.columns] for h in self.maps]
+        dead = [set() for _ in self.groups]
+        for n, h in enumerate(self.maps):
+            src = [c for c in range(h.source.ngens) if c not in dead[n]]
+            live = [cols[n][c] for c in src]
+            for i, p in _unit_eliminate(live, h.target.orders,
+                                        col_orders=[h.source.orders[c] for c in src]):
+                dead[n].add(src[p])
+                dead[n + 1].add(i)
+            cols[n] = dict(zip(src, live))
+        keep = [[c for c in range(g.ngens) if c not in d] for g, d in zip(self.groups, dead)]
+        index = [{c: k for k, c in enumerate(cells)} for cells in keep]
+        groups = tuple(FinAbGroup(tuple(g.orders[c] for c in cells))
+                       for g, cells in zip(self.groups, keep))
+        maps = tuple(AbHom.from_columns(groups[n], groups[n + 1], [
+            {index[n + 1][i]: x for i, x in cols[n][c].items() if i in index[n + 1]}
+            for c in keep[n]]) for n in range(len(self.maps)))
+        return AbComplex(groups, maps)
+
     def map_out_of(self, n):
         if n < len(self.maps):
             return self.maps[n]
@@ -551,7 +594,7 @@ def _sparse_sum(terms):
     return {i: x for i, x in acc.items() if x}
 
 
-def _markowitz_pivots(cols, rows, orders):
+def _markowitz_pivots(cols, rows, orders, col_orders=None):
     """The pivots (i, p) of _unit_eliminate, which eliminates each before
     asking for the next: units, gcd(entry, orders[i]) = 1, each of least
     Markowitz cost (nnz(row i) - 1) * (nnz(column p) - 1), ties to the least
@@ -562,15 +605,20 @@ def _markowitz_pivots(cols, rows, orders):
     falls only where a row or column shrinks or an entry is written, so
     after a pivot the columns that shrank are rescanned, and the units the
     pivot wrote or whose row shrank are pushed where they undercut a key.
+    With col_orders, a unit counts only in a column p with col_orders[p] =
+    orders[i].
     """
+    def eligible(i, j):
+        return (gcd(cols[j][i], orders[i]) == 1
+                and (col_orders is None or col_orders[j] == orders[i]))
+
     def push(j, key):
         keys[j] = key
         heappush(heap, (*key, j))
 
     def rescan(j):
         # the factor nnz(column j) - 1 is common to the column's entries
-        least = min(((len(rows[i]), i) for i, x in cols[j].items()
-                     if gcd(x, orders[i]) == 1), default=None)
+        least = min(((len(rows[i]), i) for i in cols[j] if eligible(i, j)), default=None)
         if least is None:
             keys.pop(j, None)
             return None
@@ -596,12 +644,12 @@ def _markowitz_pivots(cols, rows, orders):
             c = len(rows[r]) - 1
             for j in (rows[r] if c + 1 < before else rows[r] & col_nnz.keys()) - shrunk:
                 key, old = (c * (len(cols[j]) - 1), r), keys.get(j)
-                if (old is None or key < old) and gcd(cols[j][r], orders[r]) == 1:
+                if (old is None or key < old) and eligible(r, j):
                     push(j, key)
 
 
-def _unit_eliminate(cols, orders, track=None, track_orders=None):
-    """Eliminate unit pivots from sparse columns, in place; returns the pivot count.
+def _unit_eliminate(cols, orders, track=None, track_orders=None, col_orders=None):
+    """Eliminate unit pivots from sparse columns, in place; returns the pivots (i, p).
 
     cols[j] is a dict {row: entry}. The routine works on the column lattice of
     [A | diag(orders)], order 0 marking an infinite row, so entries in a finite
@@ -623,12 +671,17 @@ def _unit_eliminate(cols, orders, track=None, track_orders=None):
       Tracked coordinates stay reduced mod `track_orders`, which is exact
       when the kernel contains track_orders[c] * e_c.
 
-    The columns still nonzero when no unit is left form the residual block.
+    With col_orders, the orders of the source generators of a well-defined
+    A, a pivot also needs col_orders[p] = orders[i]. The step then empties
+    column p, since orders[i] * column p vanishes mod every row order, and
+    what is left of A is its Schur complement: the map that
+    `AbComplex.cancelled` keeps once the pair is cancelled. The columns
+    still nonzero when no pivot is left form the residual block.
 
     >>> cols = [{0: 1, 1: 2}, {0: 3, 1: 2}, {1: 2}]   # A over (Z/4)^2
     >>> track = [{0: 1}, {1: 1}, {2: 1}]
     >>> _unit_eliminate(cols, [4, 4], track, [4, 4, 4])
-    1
+    [(0, 0)]
     >>> cols                          # 2 is no unit mod 4: a residual column
     [{}, {}, {1: 2}]
     >>> track                         # e0 + e1 is in the kernel
@@ -638,9 +691,9 @@ def _unit_eliminate(cols, orders, track=None, track_orders=None):
     for j, col in enumerate(cols):
         for i in col:
             rows.setdefault(i, set()).add(j)
-    pivots = 0
-    for i, p in _markowitz_pivots(cols, rows, orders):
-        pivots += 1
+    pivots = []
+    for i, p in _markowitz_pivots(cols, rows, orders, col_orders):
+        pivots.append((i, p))
         o, colp = orders[i], cols[p]
         q_unit = pow(colp[i], -1, o) if o else colp[i]
         for j in [j for j in rows[i] if j != p]:
@@ -672,59 +725,80 @@ def _unit_eliminate(cols, orders, track=None, track_orders=None):
 
 
 def _residual_block(cols, orders):
-    """The nonzero columns, by index, and as a dense block stacked with the
-    relations orders[i] * e_i of the rows i they meet (a Z row has none)."""
+    """The nonzero columns, by index, the lcm L of the orders of the rows
+    they meet, and the block B on those rows as an IntegerMatrix.
+
+    When every such row is finite, row i of B is scaled by L / orders[i]:
+    then x is in the kernel mod the orders exactly when B x = 0 mod L, and no
+    relation columns are needed. When one is infinite, L = 0 and B is
+    stacked with the relations orders[i] * e_i of its finite rows.
+    """
     live = [j for j, col in enumerate(cols) if col]
     rows = sorted({i for j in live for i in cols[j]})
-    finite = [a for a, i in enumerate(rows) if orders[i]]
-    data = [[cols[j].get(i, 0) for j in live] + [orders[i] if a == b else 0 for b in finite]
-            for a, i in enumerate(rows)]
-    return live, IntegerMatrix(len(rows), len(live) + len(finite), data)
+    L = lcm(*(orders[i] for i in rows))
+    if L:
+        data = [[cols[j].get(i, 0) * (L // orders[i]) for j in live] for i in rows]
+    else:
+        finite = [a for a, i in enumerate(rows) if orders[i]]
+        data = [[cols[j].get(i, 0) for j in live] + [orders[i] if a == b else 0 for b in finite]
+                for a, i in enumerate(rows)]
+    return live, L, IntegerMatrix(len(rows), len(data[0]) if data else 0, data)
 
 
 def _sparse_kernel(cols, orders, track, track_orders):
     """Generators of {x : A x = 0 mod orders} in tracked coordinates, reduced
     mod track_orders (the kernel also holds every track_orders[c] * e_c).
-    The residual block of _unit_eliminate goes to the dense kernel_basis."""
+
+    The residual block B of _unit_eliminate goes to a dense SNF. On finite
+    rows (L > 0) that is U B V = S: B y = 0 mod L for y = V z exactly when
+    S_jj z_j = 0 mod L, so the columns of V times L / gcd(S_jj, L) span the
+    kernel (S_jj = 0 past the diagonal). On a block with a Z row it is the
+    kernel_basis of the stacked block, read on the live columns.
+    """
     _unit_eliminate(cols, orders, track, track_orders)
     gens = [t for col, t in zip(cols, track) if not col and t]
-    live, block = _residual_block(cols, orders)
-    if live:
-        for v in kernel_basis(block).columns():
-            acc = _reduced(_sparse_sum(zip(v, (track[j] for j in live))), track_orders)
-            if acc:
-                gens.append(acc)
+    live, L, block = _residual_block(cols, orders)
+    if not live:
+        return gens
+    if L:
+        S, _, V, _ = _smith_with_inverses(block)
+        diag = S.diagonal()
+        diag += [0] * (len(live) - len(diag))
+        kernel = [[L // gcd(d, L) * x for x in V.col(j)] for j, d in enumerate(diag)]
+    else:
+        kernel = kernel_basis(block).columns()
+    for v in kernel:
+        acc = _reduced(_sparse_sum(zip(v, (track[j] for j in live))), track_orders)
+        if acc:
+            gens.append(acc)
     return gens
 
 
 def _homology_factors(cx, n):
-    """The factors of homology_at(cx, n), from three passes of _unit_eliminate."""
+    """The factors of homology_at(cx, n), from three passes of
+    _unit_eliminate on the cancelled complex at n."""
+    cx = cx.cancelled
     mid = cx.groups[n]
     out, into = cx.map_out_of(n), cx.map_into(n)
-    s, t = mid.orders, out.target.orders
-    dcols = [_reduced(col, t) for col in out.columns]
-    bcols = [_reduced(col, s) for col in into.columns]
-    # the dense path's check: diag(s) and im maps[n-1] must lie in ker maps[n]
-    for z in [{j: d} for j, d in enumerate(s) if d] + bcols:
-        if _reduced(_sparse_sum((a, dcols[j]) for j, a in z.items()), t):
-            raise ArithmeticError("image does not lie in the kernel; not a complex at this degree")
+    s = mid.orders
     # 1. cocycles: K = {x : maps[n] x = 0}, kept mod s. The generators
     #    s_c e_c that K also holds die in the quotient, so they are left out.
-    K = _sparse_kernel(dcols, t, [_reduced({c: 1}, s) for c in range(mid.ngens)], s)
+    K = _sparse_kernel([dict(col) for col in out.columns], out.target.orders,
+                       [_reduced({c: 1}, s) for c in range(mid.ngens)], s)
     k = len(K)
     # 2. Y = {y in Z^k : K y in im maps[n-1] + diag(s)}, the kernel of
     #    [K | maps[n-1]] mod s projected to y. With L = lcm(s), Y holds L Z^k.
     L = lcm(*s)
     Lk = [L] * k
-    Y = _sparse_kernel(K + bcols, s, [{y: 1} for y in range(k)] + [{} for _ in bcols], Lk)
-    # 3. H = Z^k / (Y + L Z^k): unit pivots, then dense SNF on the residual
-    #    block. Its factors divide L, so the rows never touched come last.
+    Y = _sparse_kernel(K + [dict(col) for col in into.columns], s,
+                       [{y: 1} for y in range(k)] + [{} for _ in into.columns], Lk)
+    # 3. H = Z^k / (Y + L Z^k): unit pivots, then the SNF S of the residual
+    #    block; each row left gives Z/gcd(S_ii, L) (S_ii = 0 past the diagonal).
     pivots = _unit_eliminate(Y, Lk)
-    live, block = _residual_block(Y, Lk)
-    rest = invariant_factors_of_presentation(block.rows, block) if live else InvariantFactors((), 0)
-    untouched = k - pivots - block.rows
-    return InvariantFactors(rest.torsion + ((L,) * untouched if L > 1 else ()),
-                            rest.free_rank + (untouched if L == 0 else 0))
+    live, _, block = _residual_block(Y, Lk)
+    diag = _smith_with_inverses(block)[0].diagonal() if live else []
+    factors = [gcd(d, L) for d in diag] + [L] * (k - len(pivots) - len(diag))
+    return InvariantFactors(tuple(f for f in factors if f > 1), factors.count(0))
 
 
 def homology_at(cx, n, with_generators=False):
@@ -735,13 +809,14 @@ def homology_at(cx, n, with_generators=False):
     element of groups[n] per canonical factor, torsion generators first.
 
     The factors come from _homology_factors, three sparse eliminations on the
-    columns of the maps, as does every question that needs no
+    columns of the cancelled complex (`cx.cancelled`, built on the first
+    call and shared by every degree), as does every question that needs no
     representative (Morita rows and ext counts, coboundary witnesses). A
     trivial group has the generators []. Otherwise they come from the dense
-    path on the `matrix` views of the maps (_kernel_lattice, solve_columns
-    and a final SNF with its transforms): the extension and Baer tables of
-    `classify` and the CLI's --json output are built from these
-    representatives.
+    path on the `matrix` views of the original maps (_kernel_lattice,
+    solve_columns and a final SNF with its transforms): the extension and
+    Baer tables of `classify` and the CLI's --json output are built from
+    these representatives. Raises ArithmeticError when cx is not a complex.
 
     >>> Z = FinAbGroup((0,))
     >>> times2 = AbHom(Z, Z, IntegerMatrix.from_rows([[2]]))

@@ -285,8 +285,9 @@ def _search_lifts(E, twist):
     in arrow order with candidates in `E.lifts` order. `twist` maps each
     composable pair (u, v) of the base to an arrow over the unit at r(u); a
     partial choice is pruned when sigma(u) sigma(v) != twist[u, v] sigma(uv)
-    on a pair whose three arrows are all chosen. The first full choice, or
-    None.
+    on a pair whose three arrows are all chosen. The pairs checked for a new
+    choice g are the composable ones that contain it: (g, h) for h into s(g)
+    and (h, g) for h out of r(g). The first full choice, or None.
     """
     G, T = E.base, E.total
     comp = T.comp
@@ -296,11 +297,12 @@ def _search_lifts(E, twist):
     assign = {G.unit[x]: T.unit[x] for x in G.objects()}
 
     def check_partial(g):
-        for h in list(assign):
-            for (u, v) in ((g, h), (h, g)):
-                uv = G.comp.get((u, v))
-                if (uv in assign
-                        and comp[assign[u], assign[v]] != comp[twist[u, v], assign[uv]]):
+        pairs = itertools.chain(((g, h) for h in G.into[G.src[g]]),
+                                ((h, g) for h in G.out[G.tgt[g]]))
+        for u, v in pairs:
+            if u in assign and v in assign:
+                uv = G.comp[u, v]
+                if uv in assign and comp[assign[u], assign[v]] != comp[twist[u, v], assign[uv]]:
                     return False
         return True
 

@@ -64,7 +64,7 @@ from .classify import (
     ext_classes,
     is_strictly_trivial,
 )
-from .cohomology import cochain_complex, cohomology, is_coboundary
+from .cohomology import cochain_complex, is_coboundary
 from .gmodule import GModule, constant_module, validate_module
 from .groupoid import (
     FiniteGroupoid,
@@ -433,7 +433,8 @@ def run(doc, max_degree=3, seed=0):
                 if hi > max_degree:
                     raise DocumentError(line_no,
                                         f"degree {hi} above --max-degree {max_degree}")
-                groups = {n: cohomology(G, A, n) for n in range(lo, hi + 1)}
+                cx = cochain_complex(G, A, hi + 1)
+                groups = {n: homology_at(cx, n) for n in range(lo, hi + 1)}
                 line = " ".join(f"H^{n}={groups[n]}" for n in range(lo, hi + 1))
                 results.append(TaskResult("cohomology", True, [line],
                                           {"degrees": {str(n): _factors_dict(f)

@@ -127,15 +127,17 @@ class MonotoneMap:
         return MonotoneMap(self.codomain, tuple(self.values[v] for v in other.values))
 
 
+@functools.cache
 def all_monotone_maps(k, n):
-    """Every nondecreasing [k] -> [n], lexicographically."""
-    return [MonotoneMap(n, vals)
-            for vals in itertools.combinations_with_replacement(range(n + 1), k + 1)]
+    """Every nondecreasing [k] -> [n], lexicographically, as one shared tuple."""
+    return tuple(MonotoneMap(n, vals)
+                 for vals in itertools.combinations_with_replacement(range(n + 1), k + 1))
 
 
+@functools.cache
 def all_strict_maps(k, n):
-    """Every strictly increasing [k] -> [n], lexicographically."""
-    return [MonotoneMap(n, vals) for vals in itertools.combinations(range(n + 1), k + 1)]
+    """Every strictly increasing [k] -> [n], lexicographically, as one shared tuple."""
+    return tuple(MonotoneMap(n, vals) for vals in itertools.combinations(range(n + 1), k + 1))
 
 
 class FiniteGroupoid:

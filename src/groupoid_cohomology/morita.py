@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cohomology import cohomology
+from .abelian import homology_at
+from .cohomology import cochain_complex
 from .gmodule import pullback_module
 from .groupoid import _guard, cover_groupoid, memberships
 
@@ -55,9 +56,11 @@ class MoritaReport:
 def morita_compare(G, A, sets, degrees=(0, 1, 2), compare_ext=False):
     """Compare H^n(G, A) with H^n(G[U], canon* A) degree by degree.
 
-    With compare_ext and finite fibers, ext_left and ext_right are the
-    numbers of extension classes, |H^2| of each side, read from the degree-2
-    row or computed factors-only when 2 is not among the degrees.
+    Each side is one cochain complex up to the top degree read, so every
+    degree reads the same cancellation (`AbComplex.cancelled`). With
+    compare_ext and finite fibers, ext_left and ext_right are the numbers of
+    extension classes, |H^2| of each side, read from the factors-only H^2 of
+    the same complexes.
 
     Raises BudgetExceeded, before building it, when the highest nerve level
     of the cover groupoid read, max(degrees) + 1 and at least 3 with the ext
@@ -72,16 +75,14 @@ def morita_compare(G, A, sets, degrees=(0, 1, 2), compare_ext=False):
     count = H.nerve_count(top)
     _guard("max_cover_nerve", count, f"cover groupoid nerve has {count} tuples at level {top}")
     pulled = pullback_module(cg.canon, A)
-    report = MoritaReport()
-    for n in degrees:
-        report.rows.append(MoritaRow(n, cohomology(G, A, n), cohomology(H, pulled, n)))
+    left, right = cochain_complex(G, A, top), cochain_complex(H, pulled, top)
+    factors = {n: (homology_at(left, n), homology_at(right, n))
+               for n in {*degrees, *((2,) if ext else ())}}
+    report = MoritaReport([MoritaRow(n, *factors[n]) for n in degrees])
     if ext:
         # Ext = H^2 in the discrete setting: one class per element, so the
         # count is the order of the factors-only H^2, no representative needed
-        h2 = next((r for r in report.rows if r.degree == 2), None)
-        left, right = ((h2.left, h2.right) if h2 else
-                       (cohomology(G, A, 2), cohomology(H, pulled, 2)))
-        report.ext_left, report.ext_right = left.order, right.order
+        report.ext_left, report.ext_right = (f.order for f in factors[2])
     return report
 
 

@@ -1,15 +1,18 @@
 """Independent oracles for the acceptance suite.
 
-Nothing here calls the library's differential, matrix or homology code: the
-group-cohomology oracle enumerates cochains as dictionaries and applies the
-alternating-sum formula written out from scratch; quotient group types are
-recovered from element orders alone. The groupoid differential and the
+The group-cohomology oracle calls none of the library's differential,
+matrix or homology code: it enumerates cochains as dictionaries and applies
+the alternating-sum formula written out from scratch; quotient group types
+are recovered from element orders alone. The groupoid differential and the
 extension builder have face-by-face and pair-by-pair references here, on
 `groupoid.face`, FinAbGroup arithmetic and the module action only. The
 Baer sum has one that finds each orbit representative by scanning the
 coefficient fiber. The coboundary assembler and the unit-pivot elimination
 have reference versions too: a dense assembler into row lists, and the
-elimination with the bucket-scan pivot search that the heap replaced.
+elimination with the bucket-scan pivot search that the heap replaced. The
+factors of H^n have the three-pass routine that ran before the
+cancellation of unit pairs, on that elimination and the library's dense
+SNF; the lift search has the one that scans every chosen arrow.
 Cech cochains have the dictionary form {label: {point: value}} that the
 cell tables of `cech` replaced: a coboundary summed face by face on
 `MonotoneMap.face`, `groupoid.simplicial_map` (not the spaces' structure-map
@@ -22,7 +25,8 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm, prod
 
-from groupoid_cohomology.abelian import InvariantFactors
+from groupoid_cohomology.abelian import (IntegerMatrix, InvariantFactors,
+                                         invariant_factors_of_presentation, kernel_basis)
 from groupoid_cohomology.classify import Extension, NotACocycleError
 from groupoid_cohomology.cohomology import Cochain
 from groupoid_cohomology.groupoid import (FiniteGroupoid, GroupoidMorphism, MonotoneMap, face,
@@ -395,6 +399,38 @@ def baer_sum_by_orbits(E1, E2):
     return Extension(G, A, total, proj, inj)
 
 
+def search_lifts_by_pairs(E, twist):
+    """The lift search of `classify._search_lifts` checking each new choice g
+    against every chosen arrow h, pairs (g, h) and (h, g) filtered by
+    composability through `comp`. Same candidates, order and pruning."""
+    G, T = E.base, E.total
+    lifts = [[e for e in T.arrows() if E.proj[e] == g] for g in G.arrows()]
+    nonunits = [g for g in G.arrows() if g not in set(G.unit)]
+    assign = {G.unit[x]: T.unit[x] for x in G.objects()}
+
+    def check_partial(g):
+        for h in list(assign):
+            for u, v in ((g, h), (h, g)):
+                uv = G.comp.get((u, v))
+                if (uv in assign and T.comp[assign[u], assign[v]]
+                        != T.comp[twist[u, v], assign[uv]]):
+                    return False
+        return True
+
+    def backtrack(pos):
+        if pos == len(nonunits):
+            return True
+        g = nonunits[pos]
+        for cand in lifts[g]:
+            assign[g] = cand
+            if check_partial(g) and backtrack(pos + 1):
+                return True
+            del assign[g]
+        return False
+
+    return assign if backtrack(0) else None
+
+
 def dense_coboundary(source_fibers, target_fibers, table):
     """The rows of the matrix that `cohomology.assemble_coboundary` stores as
     sparse columns, filled densely: each face of a target cell adds sign
@@ -429,7 +465,7 @@ def _reduced(vec, orders):
     return out
 
 
-def bucket_unit_eliminate(cols, orders, track=None, track_orders=None):
+def bucket_unit_eliminate(cols, orders, track=None, track_orders=None, col_orders=None):
     """The unit-pivot elimination of `abelian._unit_eliminate` with the
     search it had before the heap: rows and columns bucketed by nnz, every
     entry of the short rows and columns rescanned at each pivot for the
@@ -462,8 +498,10 @@ def bucket_unit_eliminate(cols, orders, track=None, track_orders=None):
     for j, col in enumerate(cols):
         move(col_nnz, j, 0, len(col))
 
-    def is_unit(i, x):
-        return gcd(x, orders[i]) == 1 if orders[i] else abs(x) == 1
+    def is_unit(i, j):
+        x, o = cols[j][i], orders[i]
+        return ((gcd(x, o) == 1 if o else abs(x) == 1)
+                and (col_orders is None or col_orders[j] == o))
 
     def choose_pivot():
         # an entry not yet seen after count k lies in a row and a column of
@@ -478,7 +516,7 @@ def bucket_unit_eliminate(cols, orders, track=None, track_orders=None):
             candidates = [(i, j) for i in row_nnz.get(k, ()) for j in rows[i]]
             candidates += [(i, j) for j in col_nnz.get(k, ()) for i in cols[j]]
             for i, j in candidates:
-                if is_unit(i, cols[j][i]):
+                if is_unit(i, j):
                     cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
                     if best is None or cost < best_cost:
                         best, best_cost = (i, j), cost
@@ -488,10 +526,10 @@ def bucket_unit_eliminate(cols, orders, track=None, track_orders=None):
                 return best
         return best
 
-    pivots = 0
+    pivots = []
     while (pivot := choose_pivot()) is not None:
         i, p = pivot
-        pivots += 1
+        pivots.append(pivot)
         o, colp = orders[i], cols[p]
         q_unit = pow(colp[i], -1, o) if o else colp[i]
         for j in [j for j in rows[i] if j != p]:
@@ -528,6 +566,56 @@ def bucket_unit_eliminate(cols, orders, track=None, track_orders=None):
         if track is not None:
             track[p] = _reduced({c: o * v for c, v in track[p].items()}, track_orders)
     return pivots
+
+
+def _stacked_block(cols, orders):
+    live = [j for j, col in enumerate(cols) if col]
+    rows = sorted({i for j in live for i in cols[j]})
+    finite = [a for a, i in enumerate(rows) if orders[i]]
+    data = [[cols[j].get(i, 0) for j in live] + [orders[i] if a == b else 0 for b in finite]
+            for a, i in enumerate(rows)]
+    return live, IntegerMatrix(len(rows), len(live) + len(finite), data)
+
+
+def _stacked_kernel(cols, orders, track, track_orders):
+    bucket_unit_eliminate(cols, orders, track, track_orders)
+    gens = [t for col, t in zip(cols, track) if not col and t]
+    live, block = _stacked_block(cols, orders)
+    if live:
+        for v in kernel_basis(block).columns():
+            acc = {}
+            for a, t in zip(v, (track[j] for j in live)):
+                for c, x in t.items():
+                    acc[c] = acc.get(c, 0) + a * x
+            acc = _reduced(acc, track_orders)
+            if acc:
+                gens.append(acc)
+    return gens
+
+
+def three_pass_factors(cx, n):
+    """H^n of an uncancelled complex by the three passes that factors-only
+    `homology_at` ran before the cancellation: the kernel K of maps[n] mod
+    the target orders, then Y = {y : K y in im maps[n-1] + diag(s)}, then
+    Z^k / (Y + L Z^k) with L = lcm(s). Each pass eliminates unit pivots
+    (the bucket search above) and stacks its residual block with the
+    relations of its finite rows for the dense SNF."""
+    s = cx.groups[n].orders
+    out, into = cx.map_out_of(n), cx.map_into(n)
+    t = out.target.orders
+    K = _stacked_kernel([_reduced(col, t) for col in out.columns], t,
+                        [_reduced({c: 1}, s) for c in range(len(s))], s)
+    k, L = len(K), lcm(*s)
+    Lk = [L] * k
+    Y = _stacked_kernel(K + [_reduced(col, s) for col in into.columns], s,
+                        [{y: 1} for y in range(k)] + [{} for _ in into.columns], Lk)
+    pivots = bucket_unit_eliminate(Y, Lk)
+    live, block = _stacked_block(Y, Lk)
+    rest = (invariant_factors_of_presentation(block.rows, block) if live
+            else InvariantFactors((), 0))
+    untouched = k - len(pivots) - block.rows
+    return InvariantFactors(rest.torsion + ((L,) * untouched if L > 1 else ()),
+                            rest.free_rank + (untouched if L == 0 else 0))
 
 
 # ---------------------------------------------------------------------------

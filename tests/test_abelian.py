@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
-from oracles import bucket_unit_eliminate, invariant_factors_from_orders
+from oracles import bucket_unit_eliminate, invariant_factors_from_orders, three_pass_factors
 from timing import time_limit
 
 from groupoid_cohomology import abelian
@@ -24,7 +24,8 @@ from groupoid_cohomology.abelian import (
     solve_columns,
 )
 from groupoid_cohomology.cohomology import cochain_complex
-from groupoid_cohomology.gmodule import GModule, disjoint_union_module, pullback_module
+from groupoid_cohomology.gmodule import (GModule, constant_module, disjoint_union_module,
+                                         pullback_module)
 from groupoid_cohomology.groupoid import cover_groupoid, cyclic_group, disjoint_union, unit_groupoid
 from groupoid_cohomology.randomized import random_instance, random_object_cover
 
@@ -408,30 +409,34 @@ def test_hom_operations_match_dense_formulas(data):
 
 
 def _checked_search(search):
-    """The pivot search, asserting that each pivot is a unit mod its row's
-    order and the least (cost, row, column) of all unit entries, and that no
-    unit is left when it stops."""
-    def units(cols, rows, orders):
+    """The pivot search, asserting that each pivot is an eligible unit (mod
+    its row's order, in a column of the same order when col_orders is given)
+    and the least (cost, row, column) of all eligible units, and that none
+    is left when it stops."""
+    def units(cols, rows, orders, col_orders):
         return sorted(((len(rows[r]) - 1) * (len(col) - 1), r, j)
                       for j, col in enumerate(cols) for r, x in col.items()
-                      if (gcd(x, orders[r]) == 1 if orders[r] else x in (1, -1)))
+                      if (gcd(x, orders[r]) == 1 if orders[r] else x in (1, -1))
+                      and (col_orders is None or col_orders[j] == orders[r]))
 
-    def checked(cols, rows, orders):
-        for i, p in search(cols, rows, orders):
+    def checked(cols, rows, orders, col_orders=None):
+        for i, p in search(cols, rows, orders, col_orders):
             assert all(len(rows[r]) == sum(r in col for col in cols) for r in rows)
             x, o = cols[p][i], orders[i]
             assert gcd(x, o) == 1 if o else x in (1, -1)
-            assert units(cols, rows, orders)[0][1:] == (i, p)
+            assert units(cols, rows, orders, col_orders)[0][1:] == (i, p)
             yield i, p
-        assert not units(cols, rows, orders)
+        assert not units(cols, rows, orders, col_orders)
     return checked
 
 
 def _factors_by_both_searches(cx, n):
+    # each search cancels its own copy of the complex: the cancellation is
+    # cached on the complex
     with mock.patch.object(abelian, "_markowitz_pivots", _checked_search(abelian._markowitz_pivots)):
-        got = abelian._homology_factors(cx, n)
+        got = abelian._homology_factors(AbComplex(cx.groups, cx.maps), n)
     with mock.patch.object(abelian, "_unit_eliminate", bucket_unit_eliminate):
-        want = abelian._homology_factors(cx, n)
+        want = abelian._homology_factors(AbComplex(cx.groups, cx.maps), n)
     return got, want
 
 
@@ -464,11 +469,13 @@ def sparse_well_defined_homs(draw):
 @given(sparse_well_defined_homs())
 def test_pivot_search_matches_bucket_reference_on_sparse_columns(h):
     # kernel and cokernel of a random sparse hom: the heap search and the
-    # bucket-scan reference give the same factors, through least-cost units
+    # bucket-scan reference give the same factors, through least-cost units,
+    # and so do the three passes without the cancellation (mixed orders put
+    # units between cells of different orders, which must not cancel)
     cx = AbComplex((h.source, h.target), (h,))
     for n in (0, 1):
         got, want = _factors_by_both_searches(cx, n)
-        assert got == want
+        assert got == want == three_pass_factors(cx, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -477,3 +484,52 @@ def test_pivot_search_matches_bucket_reference_on_cochain_complexes(seed, n):
     G, A = random_instance(random.Random(seed), max_arrows=8, allow_infinite=True)
     got, want = _factors_by_both_searches(cochain_complex(G, A, n + 1), n)
     assert got == want
+
+
+def test_cancellation_needs_equal_orders():
+    # Z --1--> Z/5: 1 is a unit mod 5, but the orders differ, so the pair
+    # spans no acyclic summand; cancelling it would give H^0 = 0
+    cx = _chain((0, 5), (1,))
+    assert homology_at(cx, 0) == InvariantFactors((), 1)
+    assert homology_at(cx, 1) == InvariantFactors((), 0)
+    assert cx.cancelled.groups == cx.groups
+    # Z/5 --1--> Z/5 cancels to nothing
+    assert [g.ngens for g in _chain((5, 5), (1,)).cancelled.groups] == [0, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_cancelled_complex_matches_three_pass_reference(seed, allow_infinite):
+    # H^0..H^3 read from one cancellation of C^0 -> ... -> C^4 against the
+    # three passes on each degree's own uncancelled 3-term complex
+    G, A = random_instance(random.Random(seed), max_arrows=8, allow_infinite=allow_infinite)
+    cx = cochain_complex(G, A, 4)
+    for n in range(4):
+        low = max(n - 1, 0)
+        own = AbComplex(cx.groups[low:n + 2], cx.maps[low:n + 1])
+        assert homology_at(cx, n) == three_pass_factors(own, n - low)
+
+
+def test_cancellation_runs_once_per_complex(monkeypatch):
+    calls = []
+    eliminate = abelian._unit_eliminate
+    monkeypatch.setattr(abelian, "_unit_eliminate",
+                        lambda *a, **kw: calls.append("col_orders" in kw) or eliminate(*a, **kw))
+    C3 = cyclic_group(3)
+    cx = cochain_complex(C3, constant_module(C3, FinAbGroup((3,))), 4)
+    for _ in range(3):
+        assert [str(homology_at(cx, n)) for n in range(4)] == ["Z/3"] * 4
+    # one cancellation per map, then three passes per homology_at
+    assert calls.count(True) == len(cx.maps)
+    assert calls.count(False) == 3 * 3 * 4
+
+
+@pytest.mark.parametrize("m, order, n, want, limit", [
+    (6, 6, 4, "Z/6", 1.2),   # about 0.2 s; 1.7-2.0 s before the cancellation
+    (6, 4, 3, "Z/2", 0.4),   # about 0.04 s; 0.8-1.1 s before
+])
+def test_factors_only_timing(m, order, n, want, limit):
+    G = cyclic_group(m)
+    cx = cochain_complex(G, constant_module(G, FinAbGroup((order,))), n + 1)
+    with time_limit(limit):
+        assert str(homology_at(cx, n)) == want

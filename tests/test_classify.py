@@ -4,9 +4,10 @@ import itertools
 import random
 
 import pytest
-from oracles import baer_sum_by_orbits, extension_from_cocycle_by_pairs
+from oracles import baer_sum_by_orbits, extension_from_cocycle_by_pairs, search_lifts_by_pairs
 from test_morita import TWO_FIBER
 
+from groupoid_cohomology import classify
 from groupoid_cohomology.abelian import AbHom, FinAbGroup, IntegerMatrix, InvariantFactors
 from groupoid_cohomology.classify import (
     CoveredCocycleData,
@@ -237,6 +238,43 @@ def test_extension_builder_matches_pair_reference():
         for cls in ext_classes(G, A).classes:
             _assert_same_extension(cls.extension,
                                    extension_from_cocycle_by_pairs(G, A, cls.cocycle))
+
+
+def _lift_search_twists(E1, E2):
+    """The twists the lift search takes: the canonical cocycle of E1 carried
+    into E2 (are_equivalent) and the units (is_strictly_trivial)."""
+    G, T1 = E1.base, E1.total
+    sec1 = canonical_section(E1)
+    chart1 = classify._coordinates(E1, sec1)
+    return [{(u, v): E2.inj[G.tgt[u], chart1[T1.comp[sec1[u], sec1[v]]]] for u, v in G.comp},
+            {(u, v): E2.total.unit[G.tgt[u]] for u, v in G.comp}]
+
+
+def test_lift_search_matches_pair_scan_reference():
+    # the walk over composable pairs against the scan of every chosen arrow,
+    # on the Ext classes of the fixtures and on extensions of random split
+    # and random cocycles: the same first section, or None for both
+    rng = random.Random(29)
+    families = [[c.extension for c in ext_classes(G, A).classes] for G, A in FIXTURES]
+    while len(families) < 20:
+        G, A = random_instance(rng, max_arrows=6)
+        if not all(f.size <= 4 for f in A.fibers):
+            continue
+        b = unflatten_cochain(G, A, 1, [rng.randrange(d) for d in cochain_group(G, A, 1).orders])
+        cocycles = [differential(G, A, b)]
+        noise = unflatten_cochain(G, A, 2,
+                                  [rng.randrange(d) for d in cochain_group(G, A, 2).orders])
+        if is_cocycle(G, A, noise):
+            cocycles.append(noise)
+        families.append([extension_from_cocycle(G, A, c) for c in cocycles])
+    outcomes = set()
+    for exts in families:
+        for E1, E2 in itertools.product(exts, repeat=2):
+            for twist in _lift_search_twists(E1, E2):
+                got = classify._search_lifts(E2, twist)
+                assert got == search_lifts_by_pairs(E2, twist)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_unnormalized_constant_cocycle():

@@ -227,11 +227,10 @@ def test_no_dense_snf_for_morita_or_coboundaries(monkeypatch):
                 w = is_coboundary(group, module, d)
                 assert w is not None and differential(group, module, w).values == d.values
     assert snf == [] and solve == []
-    # Mixed orders 5 and 2 leave the last pass of homology_at, modulo
-    # lcm = 10, a residual block whose entries are at most 10; the generator
-    # path is never entered.
+    # Mixed orders 5 and 2: every unit of the cochain complexes pairs two
+    # cells of equal order, so the cancellation leaves no residual block at
+    # all; the generator path is never entered.
     assert morita_compare(G, A, [{1}, {0, 1}], compare_ext=True).ok
-    assert snf and all(abs(x) <= 10 for (M,) in snf for row in M.entries for x in row)
-    assert solve == []
+    assert snf == [] and solve == []
     ext_classes(C3, A3)  # the generator path does run the dense SNF
     assert solve
