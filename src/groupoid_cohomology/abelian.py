@@ -38,7 +38,7 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple([tuple([int(x) for x in row]) for row in entries])
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ShapeError(f"expected {rows}x{cols} entries")
         self.rows = rows
@@ -282,7 +282,11 @@ class FinAbGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(d) for d in self.orders))
+        # Short tuples built once per operation come from a list, not a
+        # generator: tuple(<genexpr>) allocates a block for 10 items and, once
+        # freed, leaves it on the free list of the final length, where CPython
+        # keeps up to 2,000 per length and the peak RSS of a long run grows.
+        object.__setattr__(self, "orders", tuple([int(d) for d in self.orders]))
         if any(d < 0 for d in self.orders):
             raise ValueError("orders must be nonnegative")
 
@@ -306,7 +310,7 @@ class FinAbGroup:
     def reduce(self, v):
         if len(v) != self.ngens:
             raise ShapeError(f"element length {len(v)} != {self.ngens} generators")
-        return tuple(x % d if d else int(x) for x, d in zip(v, self.orders))
+        return tuple([x % d if d else int(x) for x, d in zip(v, self.orders)])
 
     def add(self, u, v):
         return self.reduce(tuple(a + b for a, b in zip(u, v)))
@@ -389,11 +393,11 @@ class AbHom:
 
     @classmethod
     def identity(cls, group):
-        return cls.from_columns(group, group, ({i: 1} for i in range(group.ngens)))
+        return cls.from_columns(group, group, [{i: 1} for i in range(group.ngens)])
 
     @classmethod
     def zero(cls, source, target):
-        return cls.from_columns(source, target, ({} for _ in range(source.ngens)))
+        return cls.from_columns(source, target, [{} for _ in range(source.ngens)])
 
     def apply(self, v):
         out = [0] * self.target.ngens
@@ -442,7 +446,7 @@ class InvariantFactors:
     free_rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple([int(d) for d in self.torsion]))
         if any(d < 2 for d in self.torsion):
             raise ValueError("torsion factors must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -548,8 +552,8 @@ class AbComplex:
             cols[n] = dict(zip(src, live))
         keep = [[c for c in range(g.ngens) if c not in d] for g, d in zip(self.groups, dead)]
         index = [{c: k for k, c in enumerate(cells)} for cells in keep]
-        groups = tuple(FinAbGroup(tuple(g.orders[c] for c in cells))
-                       for g, cells in zip(self.groups, keep))
+        groups = tuple([FinAbGroup(tuple([g.orders[c] for c in cells]))
+                        for g, cells in zip(self.groups, keep)])
         maps = tuple(AbHom.from_columns(groups[n], groups[n + 1], [
             {index[n + 1][i]: x for i, x in cols[n][c].items() if i in index[n + 1]}
             for c in keep[n]]) for n in range(len(self.maps)))
@@ -798,7 +802,7 @@ def _homology_factors(cx, n):
     live, _, block = _residual_block(Y, Lk)
     diag = _smith_with_inverses(block)[0].diagonal() if live else []
     factors = [gcd(d, L) for d in diag] + [L] * (k - len(pivots) - len(diag))
-    return InvariantFactors(tuple(f for f in factors if f > 1), factors.count(0))
+    return InvariantFactors(tuple([f for f in factors if f > 1]), factors.count(0))
 
 
 def homology_at(cx, n, with_generators=False):

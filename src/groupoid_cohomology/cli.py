@@ -433,7 +433,7 @@ def run(doc, max_degree=3, seed=0):
                 if hi > max_degree:
                     raise DocumentError(line_no,
                                         f"degree {hi} above --max-degree {max_degree}")
-                cx = cochain_complex(G, A, hi + 1)
+                cx = cochain_complex(G, A, hi + 1, normalized=True)
                 groups = {n: homology_at(cx, n) for n in range(lo, hi + 1)}
                 line = " ".join(f"H^{n}={groups[n]}" for n in range(lo, hi + 1))
                 results.append(TaskResult("cohomology", True, [line],

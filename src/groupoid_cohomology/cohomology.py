@@ -22,6 +22,18 @@ of an AbHom, for `differential_matrix` and for the Cech complexes of `cech`.
 Entries stay exact, unreduced modulo the target orders: the dense generator
 path of `homology_at` reads its representative cocycles from them, and the
 factors-only path reduces them on entry.
+
+Two complexes are read. The factors-only `cohomology(G, A, n)` and the CLI
+`cohomology` task read the normalized complex: the cochains that vanish on
+every tuple with a unit arrow, one cell per `G.nondegenerate` tuple, with the
+same cohomology (Eilenberg and Mac Lane; for C_m degree n has (m-1)^n cells
+in place of m^n). Its face rows are `G.face_table(n, normalized=True)`, where
+a degenerate inner face has position None: it adds nothing but keeps its
+place in the alternating signs. Everything else reads the full bar complex:
+the generator path (`with_generators=True`, hence `invariant_sections`, the
+extension classes and every printed cocycle), `differential`, `is_cocycle`,
+`is_coboundary`, and `cochain_complex` by default, on which `morita_compare`
+and the groupoid side of the CLI `cech` task compare independently.
 """
 
 from __future__ import annotations
@@ -136,13 +148,15 @@ def assemble_coboundary(source_fibers, target_fibers, table):
     The face table has one row per target cell, listing its faces in order
     as (position of the source cell, restriction), the restriction an AbHom
     from the source fiber into the target fiber or None for the identity.
+    A face at position None adds nothing but still takes its place in the
+    alternating signs.
     Each face adds sign times its restriction into one block of the columns
     of its source cell, so the work is linear in the number of nonzeros and
     no dense matrix is allocated. Entries are exact, not reduced modulo the
     target orders; entries that cancel are dropped.
     """
-    source = FinAbGroup(tuple(o for fib in source_fibers for o in fib.orders))
-    target = FinAbGroup(tuple(o for fib in target_fibers for o in fib.orders))
+    source = FinAbGroup(tuple([o for fib in source_fibers for o in fib.orders]))
+    target = FinAbGroup(tuple([o for fib in target_fibers for o in fib.orders]))
     offsets = list(itertools.accumulate((fib.ngens for fib in source_fibers), initial=0))
     cols = [{} for _ in range(source.ngens)]
     identity = {}  # ngens -> the identity hom, for the faces restricted by None
@@ -151,6 +165,9 @@ def assemble_coboundary(source_fibers, target_fibers, table):
         k = fib.ngens
         sign = 1
         for s, r in faces:
+            if s is None:  # a face with no cell (a degenerate one): it only takes its sign
+                sign = -sign
+                continue
             j = offsets[s]
             if r is None:
                 r = identity.get(k) or identity.setdefault(k, AbHom.identity(fib))
@@ -197,27 +214,33 @@ def _coboundary_values(G, A, c):
         yield tuple([x % d if d else x for x, d in zip(total, orders)])
 
 
-def differential_matrix(G, A, n):
-    """The linearized differential C^n -> C^{n+1}, one column per generator."""
-    cells = G.nerve(n + 1)
+def differential_matrix(G, A, n, normalized=False):
+    """The linearized differential C^n -> C^{n+1}, one column per generator.
+
+    With normalized=True, the differential of the normalized cochains: one
+    cell per `G.nondegenerate` tuple, and the degenerate faces add nothing.
+    """
+    level = G.nondegenerate if normalized else G.nerve
+    cells = level(n + 1)
     # face 0 of a tuple restricts by the action of its first arrow, every
     # other face by the identity
     table = [((faces[0], A.action(t.arrows[0])),) + tuple([(s, None) for s in faces[1:]])
-             for t, faces in zip(cells, G.face_table(n))]
-    return assemble_coboundary([tuple_fiber(A, t) for t in G.nerve(n)],
+             for t, faces in zip(cells, G.face_table(n, normalized))]
+    return assemble_coboundary([tuple_fiber(A, t) for t in level(n)],
                                [tuple_fiber(A, t) for t in cells], table)
 
 
-def _complex(G, A, low, high):
+def _complex(G, A, low, high, normalized=False):
     """C^low -> ... -> C^high, its groups read off the maps just assembled."""
-    maps = tuple(differential_matrix(G, A, k) for k in range(low, high))
+    maps = tuple(differential_matrix(G, A, k, normalized) for k in range(low, high))
     groups = (maps[0].source, *(h.target for h in maps)) if maps else (cochain_group(G, A, low),)
     return AbComplex(groups, maps)
 
 
-def cochain_complex(G, A, top):
-    """The complex C^0 -> ... -> C^top as an AbComplex."""
-    return _complex(G, A, 0, top)
+def cochain_complex(G, A, top, normalized=False):
+    """The complex C^0 -> ... -> C^top as an AbComplex (normalized: see
+    `differential_matrix`)."""
+    return _complex(G, A, 0, top, normalized)
 
 
 def cohomology(G, A, n, with_generators=False):
@@ -225,12 +248,13 @@ def cohomology(G, A, n, with_generators=False):
 
     With with_generators=True also returns representative cocycles, one per
     canonical factor. Only C^{n-1} -> C^n -> C^{n+1} is built: homology_at
-    reads no other part of the complex.
+    reads no other part of the complex. The factors alone are read off the
+    normalized complex; the generators off the full one.
     """
     low = max(n - 1, 0)
-    cx = _complex(G, A, low, n + 1)
     if not with_generators:
-        return homology_at(cx, n - low)
+        return homology_at(_complex(G, A, low, n + 1, normalized=True), n - low)
+    cx = _complex(G, A, low, n + 1)
     factors, vecs = homology_at(cx, n - low, with_generators=True)
     gens = [unflatten_cochain(G, A, n, v) for v in vecs]
     return factors, gens

@@ -79,8 +79,8 @@ def validate_module(A):
 
 def constant_module(G, B):
     """The constant module: fiber B everywhere, every arrow acting trivially."""
-    fibers = tuple(B for _ in G.objects())
-    actions = tuple(AbHom.identity(B) for _ in G.arrows())
+    fibers = tuple([B for _ in G.objects()])
+    actions = tuple([AbHom.identity(B) for _ in G.arrows()])
     return GModule(G, fibers, actions)
 
 

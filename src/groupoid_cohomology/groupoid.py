@@ -150,15 +150,15 @@ class FiniteGroupoid:
     def __init__(self, n_objects, src, tgt, unit, comp, inv,
                  object_labels=None, arrow_labels=None):
         self.n_objects = int(n_objects)
-        self.src = tuple(int(x) for x in src)
-        self.tgt = tuple(int(x) for x in tgt)
+        self.src = tuple([int(x) for x in src])
+        self.tgt = tuple([int(x) for x in tgt])
         if len(self.src) != len(self.tgt):
             raise StructureError("src and tgt must have one entry per arrow")
         n_arrows = len(self.src)
-        self.unit = tuple(int(x) for x in unit)
+        self.unit = tuple([int(x) for x in unit])
         if len(self.unit) != self.n_objects:
             raise StructureError("need one unit arrow per object")
-        self.inv = tuple(int(x) for x in inv)
+        self.inv = tuple([int(x) for x in inv])
         if len(self.inv) != n_arrows:
             raise StructureError("need one inverse per arrow")
         if any(not 0 <= x < self.n_objects for x in itertools.chain(self.src, self.tgt)):
@@ -173,9 +173,9 @@ class FiniteGroupoid:
         if unknown:
             raise StructureError("composition/unit/inverse tables refer to unknown arrows")
         self.object_labels = (tuple(object_labels) if object_labels is not None
-                              else tuple(str(x) for x in range(self.n_objects)))
+                              else tuple([str(x) for x in range(self.n_objects)]))
         self.arrow_labels = (tuple(arrow_labels) if arrow_labels is not None
-                             else tuple(str(a) for a in range(n_arrows)))
+                             else tuple([str(a) for a in range(n_arrows)]))
         self._nerve_cache = {}
 
     @property
@@ -258,6 +258,37 @@ class FiniteGroupoid:
         self._nerve_cache[n] = out
         return out
 
+    def nondegenerate(self, n):
+        """The composable n-tuples with no unit arrow, in nerve order.
+
+        They index the normalized cochains, those that vanish on every tuple
+        with a unit arrow: a subcomplex with the same cohomology (Eilenberg
+        and Mac Lane). Level 0 is nerve(0) and level 1 the non-unit arrows.
+        Level n >= 2 extends each nondegenerate (n-1)-tuple by the non-unit
+        arrows into its last source; it is counted before it is built and
+        charged to the active `max_cells`.
+
+        >>> [t.arrows for t in cyclic_group(3).nondegenerate(2)]
+        [(1, 1), (1, 2), (2, 1), (2, 2)]
+        """
+        key = ("nondegenerate", n)
+        if key in self._nerve_cache:
+            return self._nerve_cache[key]
+        if n == 0:
+            return self.nerve(0)
+        units = set(self.unit)
+        if n == 1:
+            out = [NerveTuple(self.tgt[g], (g,)) for g in self.arrows() if g not in units]
+        else:
+            into = [[g for g in arrows if g not in units] for arrows in self.into]
+            src, below = self.src, self.nondegenerate(n - 1)
+            count = sum([len(into[src[t.arrows[-1]]]) for t in below])
+            _guard("max_cells", count, f"nerve level {n} has {count} nondegenerate tuples")
+            out = [NerveTuple(t.obj, t.arrows + (g,))
+                   for t in below for g in into[src[t.arrows[-1]]]]
+        self._nerve_cache[key] = out
+        return out
+
     def nerve_index(self, n):
         """Position in nerve(n), n >= 1, of each composable tuple given as a
         plain tuple of arrow ids; the position of (g,) is g."""
@@ -266,7 +297,7 @@ class FiniteGroupoid:
             self._nerve_cache[key] = {t.arrows: i for i, t in enumerate(self.nerve(n))}
         return self._nerve_cache[key]
 
-    def face_table(self, n):
+    def face_table(self, n, normalized=False):
         """For each level-(n+1) tuple, the positions in nerve(n) of its n+2 faces.
 
         Every coboundary of the groupoid complex reads this table; on the
@@ -276,25 +307,36 @@ class FiniteGroupoid:
         source and range objects, at level 1 arrow ids, and above that they
         are looked up in `nerve_index`. `face` is the per-tuple definition.
 
+        With normalized=True the rows and positions are those of the
+        `nondegenerate` levels. An inner face of a nondegenerate tuple is
+        degenerate exactly when g_k g_(k+1) is a unit; its position is None.
+
         >>> cyclic_group(2).face_table(1)
         [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+        >>> cyclic_group(2).face_table(1, normalized=True)
+        [(0, None, 0)]
         """
-        key = ("faces", n)
+        key = ("faces", n, normalized)
         if key not in self._nerve_cache:
-            self._nerve_cache[key] = self._faces(n)
+            self._nerve_cache[key] = self._faces(n, normalized)
         return self._nerve_cache[key]
 
-    def _faces(self, n):
-        if n == 0:
+    def _faces(self, n, normalized):
+        if n == 0 and not normalized:
             return list(zip(self.src, self.tgt))
+        level = self.nondegenerate if normalized else self.nerve
+        chains = [t.arrows for t in level(n + 1)]
+        if n == 0:
+            return [(self.src[g], self.tgt[g]) for g, in chains]
         comp = self.comp
-        chains = [t.arrows for t in self.nerve(n + 1)]
-        if n == 1:
+        if n == 1 and not normalized:
             return [(h, comp[g, h], g) for g, h in chains]
-        index = self.nerve_index(n)
+        index = ({t.arrows: i for i, t in enumerate(level(n))} if normalized
+                 else self.nerve_index(n))
+        at = index.get if normalized else index.__getitem__
         inner = range(1, n + 1)
         return [(index[a[1:]],)
-                + tuple([index[a[:k - 1] + (comp[a[k - 1], a[k]],) + a[k + 1:]] for k in inner])
+                + tuple([at(a[:k - 1] + (comp[a[k - 1], a[k]],) + a[k + 1:]) for k in inner])
                 + (index[a[:-1]],)
                 for a in chains]
 

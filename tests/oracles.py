@@ -435,7 +435,9 @@ def dense_coboundary(source_fibers, target_fibers, table):
     """The rows of the matrix that `cohomology.assemble_coboundary` stores as
     sparse columns, filled densely: each face of a target cell adds sign
     times the dense matrix of its restriction (the identity for None) into
-    the block of its source cell. Entries are not reduced."""
+    the block of its source cell; a face at position None (degenerate, on
+    the normalized complex) adds nothing but keeps its sign. Entries are not
+    reduced."""
     offsets, pos = [], 0
     for fib in source_fibers:
         offsets.append(pos)
@@ -445,6 +447,8 @@ def dense_coboundary(source_fibers, target_fibers, table):
         block = [[0] * pos for _ in fib.orders]
         for k, (s, r) in enumerate(faces):
             sign = -1 if k % 2 else 1
+            if s is None:
+                continue
             if r is None:
                 for i, row in enumerate(block):
                     row[offsets[s] + i] += sign

@@ -370,8 +370,10 @@ def test_budget_reaches_cohomology_and_morita_tasks(tmp_path, capsys):
     path.write_text("groupoid: cyclic 3\nmodule: constant 3\n"
                     "task: cohomology 0..3\ntask: morita 0|0\n")
     assert main(["run", str(path)]) == 0
+    # the task reads the normalized complex: level 2 has 2 * 2 = 4 nondegenerate
+    # tuples (under the cap), level 3 has 8
     assert main(["--budget", "5", "run", str(path)]) == 3
-    assert "budget exceeded: nerve level 2 has 9 tuples" in capsys.readouterr().out
+    assert "budget exceeded: nerve level 3 has 8 nondegenerate tuples" in capsys.readouterr().out
     # the 12-arrow cover groupoid of C3 has 12 * 6 * 6 tuples at level 3
     path.write_text("groupoid: cyclic 3\nmodule: constant 3\ntask: morita 0|0\n")
     assert main(["--budget", "400", "run", str(path)]) == 3

@@ -13,9 +13,16 @@ from oracles import (
 )
 from timing import time_limit
 
-from groupoid_cohomology.abelian import AbHom, FinAbGroup, IntegerMatrix, InvariantFactors
+from groupoid_cohomology.abelian import (
+    AbHom,
+    FinAbGroup,
+    IntegerMatrix,
+    InvariantFactors,
+    homology_at,
+)
 from groupoid_cohomology.cohomology import (
     Cochain,
+    cochain_complex,
     cochain_group,
     cohomology,
     differential,
@@ -34,6 +41,7 @@ from groupoid_cohomology.groupoid import (
     BudgetExceeded,
     FiniteGroupoid,
     GroupoidMorphism,
+    cyclic_action_groupoid,
     cyclic_group,
     pair_groupoid,
     unit_groupoid,
@@ -307,7 +315,7 @@ def test_is_cocycle_walks_the_cached_face_table(monkeypatch):
                         lambda *args: calls.append(args))
     faces = FiniteGroupoid._faces
     monkeypatch.setattr(FiniteGroupoid, "_faces",
-                        lambda self, n: calls.append(n) or faces(self, n))
+                        lambda self, n, normalized: calls.append(n) or faces(self, n, normalized))
     G = cyclic_group(3)
     A = constant_module(G, FinAbGroup((3,)))
     rng = random.Random(4)
@@ -359,14 +367,21 @@ def test_assembled_columns_match_the_dense_assembler(monkeypatch):
 
 def test_factors_only_cohomology_builds_no_dense_matrix(monkeypatch):
     # the dense view of a hom is cached on the instance when first read
-    built = []
+    # and it assembles the normalized complex only: (4 - 1)^n cells in degree n
+    built, flags = [], []
     real = cohomology_module.differential_matrix
-    monkeypatch.setattr(cohomology_module, "differential_matrix",
-                        lambda *args: built.append(real(*args)) or built[-1])
+
+    def spy(G, A, n, normalized=False):
+        flags.append(normalized)
+        built.append(real(G, A, n, normalized))
+        return built[-1]
+    monkeypatch.setattr(cohomology_module, "differential_matrix", spy)
     C4 = cyclic_group(4)
     A = constant_module(C4, FinAbGroup((4,)))
     assert cohomology(C4, A, 3) == InvariantFactors((4,), 0)
-    assert len(built) == 2
+    assert flags == [True, True]
+    assert [h.source.ngens for h in built] == [9, 27]
+    assert built[-1].target.ngens == 81
     assert not any("matrix" in vars(h) for h in built + list(A.actions))
 
 
@@ -378,11 +393,82 @@ def test_factors_only_c8_degree_three_is_bounded():
 
 
 def test_nerve_levels_are_charged_to_the_cell_budget():
-    # H^6 reads nerve levels 5 to 7; level 6 of C8 has 8^6 > 200,000 tuples,
-    # counted from level 5 and refused before it is built
+    # factors-only H^6 reads the nondegenerate levels 5 to 7; level 7 of C8
+    # has 7^7 > 200,000 tuples, counted from level 6 and refused before it is
+    # built; no level of the full nerve is built
     C8 = cyclic_group(8)
-    with pytest.raises(BudgetExceeded, match="nerve level 6 has 262144 tuples") as err:
+    with pytest.raises(BudgetExceeded,
+                       match="nerve level 7 has 823543 nondegenerate tuples") as err:
         cohomology(C8, constant_module(C8, FinAbGroup((8,))), 6)
-    assert err.value.estimate == 262_144
-    built = {k for k in C8._nerve_cache if isinstance(k, int)}
-    assert 5 in built and built <= set(range(6))
+    assert err.value.estimate == 823_543
+    assert not any(isinstance(k, int) for k in C8._nerve_cache)
+    built = {k[1] for k in C8._nerve_cache if k[0] == "nondegenerate"}
+    assert 6 in built and built <= set(range(7))
+
+
+def _normalization_cases():
+    """(G, A, top): every random_instance of seeds 0-149 with up to 8 arrows,
+    finite and not, and the pair, action and twisted builders."""
+    cases = [(*random_instance(random.Random(seed), max_arrows=8, allow_infinite=infinite), 3)
+             for seed in range(150) for infinite in (False, True)]
+    Z5 = FinAbGroup((5,))
+    twisted = GModule(cyclic_group(4), (Z5,), tuple(
+        AbHom(Z5, Z5, IntegerMatrix.from_rows([[2 ** k]])) for k in range(4)))
+    Z3 = FinAbGroup((3,))
+    negated = GModule(C2, (Z3,), (AbHom.identity(Z3), AbHom(Z3, Z3, IntegerMatrix.from_rows([[-1]]))))
+    negated_z = GModule(C2, (Z,), (AbHom.identity(Z), AbHom(Z, Z, IntegerMatrix.from_rows([[-1]]))))
+    for G, B in [(pair_groupoid(3), FinAbGroup((2,))), (pair_groupoid(2), Z),
+                 (cyclic_action_groupoid(3, (1, 2, 0)), FinAbGroup((3,))),
+                 (cyclic_action_groupoid(4, (1, 0, 2)), FinAbGroup((2, 4))),
+                 (cyclic_group(3), Z)]:
+        cases.append((G, constant_module(G, B), 4))
+    return cases + [(twisted.base, twisted, 4), (C2, negated, 4), (C2, negated_z, 4)]
+
+
+def normalization_mismatches(cases):
+    """The (case, degree, full, normalized) where the factors-only
+    `cohomology` differs from the full bar complex; a map that is not a
+    differential reads as None."""
+    out = []
+    for i, (G, A, top) in enumerate(cases):
+        full = cochain_complex(G, A, top + 1)
+        for n in range(top + 1):
+            want = homology_at(full, n)
+            try:
+                got = cohomology(G, A, n)
+            except ArithmeticError:
+                got = None
+            if got != want:
+                out.append((i, n, want, got))
+    return out
+
+
+def test_normalized_factors_match_the_full_bar_complex():
+    assert normalization_mismatches(_normalization_cases()) == []
+
+
+def test_normalized_complex_is_smaller_and_skips_degenerate_faces():
+    # C_m has (m - 1)^n nondegenerate n-tuples; in C3, (1, 2) has the unit
+    # 1 + 2 as its only inner face
+    C6 = cyclic_group(6)
+    assert [len(C6.nondegenerate(n)) for n in range(5)] == [1, 5, 25, 125, 625]
+    assert C3.face_table(1, normalized=True) == [(0, 1, 0), (1, None, 0), (0, None, 1), (1, 0, 1)]
+    h = differential_matrix(C3, constant_module(C3, FinAbGroup((3,))), 1, normalized=True)
+    assert (h.source.ngens, h.target.ngens) == (2, 4)
+
+
+def test_dropping_the_sign_of_a_degenerate_face_is_caught(monkeypatch):
+    # negative control: a map that deletes the degenerate faces, so the faces
+    # after one lose their sign flip, fails the comparison above
+    assemble = cohomology_module.assemble_coboundary
+    monkeypatch.setattr(cohomology_module, "assemble_coboundary", lambda src, tgt, table: assemble(
+        src, tgt, [[face for face in row if face[0] is not None] for row in table]))
+    assert normalization_mismatches(_normalization_cases()[-8:])
+
+
+def test_factors_only_c6_degree_five_is_bounded():
+    # the normalized complex has 5^4, 5^5 and 5^6 cells in degrees 4-6
+    C6 = cyclic_group(6)
+    with time_limit(2.5):
+        got = cohomology(C6, constant_module(C6, FinAbGroup((6,))), 5)
+    assert got == InvariantFactors((6,), 0)
