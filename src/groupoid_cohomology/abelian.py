@@ -9,7 +9,10 @@ invariant factors of homology come from a sparse elimination on unit pivots
 modulo the orders of what is left, with dense Smith normal form (SNF) only
 on the residual block, with no relation columns when its rows are finite;
 membership witnesses (h x = b) come from the same sparse kernel. The dense
-SNF with transforms still picks representative generators.
+SNF with transforms still picks representative generators. It carries only
+the transforms its caller reads: V for a kernel (`kernel_basis`, a residual
+block's kernel), U and V for `solve_columns`, U^-1 for the final SNF of
+`homology_at`, and none for invariant factors (pass 3, presentations).
 
 >>> M = IntegerMatrix.from_rows([[2, 4], [6, 8]])
 >>> S, U, V = smith_normal_form(M)
@@ -25,7 +28,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 
 class ShapeError(ValueError):
@@ -44,6 +47,13 @@ class IntegerMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+
+    @classmethod
+    def _of(cls, rows, cols, entries):
+        """The matrix of int rows of the right shape, taken without a check."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, tuple(map(tuple, entries))
+        return m
 
     @classmethod
     def from_rows(cls, rows):
@@ -115,109 +125,150 @@ class IntegerMatrix:
         return [self.col(j) for j in range(self.cols)]
 
 
-def _smith_with_inverses(M):
-    """Smith normal form with three transforms.
+def _least_entry(S, t):
+    """The position of the first nonzero entry of least absolute value, in
+    row-major order, of the rows of S from t on (sparse rows, each zero left
+    of column t). A +-1 is least, so the scan stops at the first."""
+    best, least = None, 0
+    for i in range(t, len(S)):
+        m = min(map(abs, S[i].values()), default=0)
+        if m and (best is None or m < least):
+            best, least = i, m
+            if m == 1:
+                break
+    if best is None:
+        return None
+    return best, min(j for j, v in S[best].items() if v == least or v == -least)
+
+
+def _add_multiple(row, q, other):
+    """row += q * other, on sparse rows (dicts), zeros dropped."""
+    for k, b in other.items():
+        x = row.get(k, 0) + q * b
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def _smith_with_inverses(M, carry):
+    """Smith normal form, with the transforms named in carry.
 
     Returns (S, U, V, Uinv) with U*M*V = S, S diagonal, d1 | d2 | ...,
-    di >= 0, U*Uinv = identity and V unimodular. Pivoting picks the
-    minimal-absolute-value nonzero entry, which keeps coefficient growth tame
-    on desk-scale matrices.
+    di >= 0, U*Uinv = identity and V unimodular. Each transform is carried
+    only when its name ("U", "V" or "Uinv") is in carry, else it is None;
+    S and every transform carried are the same whatever else is carried.
+    Pivoting picks the minimal-absolute-value nonzero entry, which keeps
+    coefficient growth tame on desk-scale matrices.
+
+    The rows of S and of the transforms are sparse ({column: entry}, zeros
+    dropped), and V and Uinv are kept transposed, so that every operation
+    is a row operation touching only nonzero entries. From row t on, the
+    rows of S are zero left of the current diagonal position t.
     """
     r, c = M.rows, M.cols
-    S = [list(row) for row in M.entries]
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    Ui = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    S = [{j: x for j, x in enumerate(row) if x} for row in M.entries]
+    U = [{i: 1} for i in range(r)] if "U" in carry else None
+    Uit = [{i: 1} for i in range(r)] if "Uinv" in carry else None
+    Vt = [{j: 1} for j in range(c)] if "V" in carry else None
 
     def swap_rows(i, j):
-        if i == j:
-            return
         S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Ui:
-            row[i], row[j] = row[j], row[i]
+        for X in (U, Uit):
+            if X is not None:
+                X[i], X[j] = X[j], X[i]
 
     def swap_cols(i, j):
-        if i == j:
-            return
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        for row in S[t:]:
+            a, b = row.pop(i, 0), row.pop(j, 0)
+            if b:
+                row[i] = b
+            if a:
+                row[j] = a
+        if Vt is not None:
+            Vt[i], Vt[j] = Vt[j], Vt[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
-        if q == 0:
-            return
-        Si, Sj = S[i], S[j]
-        for k in range(c):
-            Si[k] += q * Sj[k]
-        Uii, Uj = U[i], U[j]
-        for k in range(r):
-            Uii[k] += q * Uj[k]
-        for row in Ui:
-            row[j] -= q * row[i]
-
-    def add_col(i, j, q):
-        # col_j += q * col_i
-        if q == 0:
-            return
-        for row in S:
-            row[j] += q * row[i]
-        for row in V:
-            row[j] += q * row[i]
+        _add_multiple(S[i], q, S[j])
+        if U is not None:
+            _add_multiple(U[i], q, U[j])
+        if Uit is not None:
+            _add_multiple(Uit[j], -q, Uit[i])
 
     def negate_row(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
-        for row in Ui:
-            row[i] = -row[i]
+        for X in (S, U, Uit):
+            if X is not None:
+                X[i] = {k: -x for k, x in X[i].items()}
 
-    t = 0
+    t, previous = 0, None
     while t < min(r, c):
-        pivot = None
-        for i in range(t, r):
-            for j in range(t, c):
-                v = S[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(pivot[2])):
-                    pivot = (i, j, v)
+        pivot = _least_entry(S, t)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        if pivot[0] != t:
+            swap_rows(t, pivot[0])
+        if pivot[1] != t:
+            swap_cols(t, pivot[1])
         if S[t][t] < 0:
             negate_row(t)
         while True:
             dirty = False
             for i in range(t + 1, r):
-                if S[i][t] != 0:
-                    add_row(i, t, -(S[i][t] // S[t][t]))
-                    if S[i][t] != 0:
+                x = S[i].get(t)
+                if x:
+                    q = -(x // S[t][t])
+                    if q:
+                        add_row(i, t, q)
+                    if t in S[i]:
                         swap_rows(t, i)
                         dirty = True
-            for j in range(t + 1, c):
-                if S[t][j] != 0:
-                    add_col(t, j, -(S[t][j] // S[t][t]))
-                    if S[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
+            St = S[t]
+            meeting = [row for row in S[t:] if t in row]  # the rows column t meets
+            # a column operation on j changes no entry of row t right of j
+            for j in sorted(j for j in St if j > t):
+                q = -(St[j] // St[t])
+                if q:  # col_j += q * col_t
+                    for row in meeting:
+                        x = row.get(j, 0) + q * row[t]
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                    if Vt is not None:
+                        _add_multiple(Vt[j], q, Vt[t])
+                if j in St:
+                    swap_cols(t, j)
+                    meeting = [row for row in S[t:] if t in row]
+                    dirty = True
             if dirty:
-                if S[t][t] < 0:
+                if St[t] < 0:
                     negate_row(t)
                 continue
-            # the pivot must divide the whole trailing block
-            culprit = None
-            for i in range(t + 1, r):
-                if any(S[i][j] % S[t][t] != 0 for j in range(t + 1, c)):
-                    culprit = i
-                    break
+            # the pivot must divide the whole trailing block; the block is
+            # already a multiple of the previous diagonal entry
+            d = St[t]
+            if d == 1 or d == previous:
+                break
+            culprit = next((i for i in range(t + 1, r) if any(x % d for x in S[i].values())),
+                           None)
             if culprit is None:
                 break
             add_row(t, culprit, 1)
+        previous = S[t][t]
         t += 1
 
-    return (IntegerMatrix(r, c, S), IntegerMatrix(r, r, U), IntegerMatrix(c, c, V),
-            IntegerMatrix(r, r, Ui))
+    def dense(rows, n, transpose=False):
+        out = [[0] * n for _ in rows]
+        for row, line in zip(rows, out):
+            for j, x in row.items():
+                line[j] = x
+        return IntegerMatrix._of(len(rows), n, zip(*out) if transpose else out)
+
+    return (dense(S, c),
+            None if U is None else dense(U, r),
+            None if Vt is None else dense(Vt, c, transpose=True),
+            None if Uit is None else dense(Uit, r, transpose=True))
 
 
 def smith_normal_form(M):
@@ -227,13 +278,13 @@ def smith_normal_form(M):
     >>> S.is_zero(), U.entries, V == IntegerMatrix.identity(3)
     (True, ((1,),), True)
     """
-    S, U, V, _ = _smith_with_inverses(M)
+    S, U, V, _ = _smith_with_inverses(M, ("U", "V"))
     return S, U, V
 
 
 def kernel_basis(M):
     """Columns generating the lattice {x : M x = 0}, as an IntegerMatrix."""
-    S, _, V, _ = _smith_with_inverses(M)
+    S, _, V, _ = _smith_with_inverses(M, ("V",))
     cols = [V.col(j) for j in range(M.cols) if j >= min(M.rows, M.cols) or S[j, j] == 0]
     return IntegerMatrix(M.cols, len(cols), [[col[i] for col in cols] for i in range(M.cols)])
 
@@ -242,7 +293,7 @@ def solve_columns(M, B):
     """Solve M X = B exactly over Z; None if some column has no solution."""
     if M.rows != B.rows:
         raise ShapeError("row counts differ")
-    S, U, V, _ = _smith_with_inverses(M)
+    S, U, V, _ = _smith_with_inverses(M, ("U", "V"))
     k = min(M.rows, M.cols)
     xcols = []
     for b in B.columns():
@@ -482,7 +533,7 @@ class InvariantFactors:
 
 def invariant_factors_of_presentation(ngens, relations):
     """Invariant factors of Z^ngens / (column lattice of `relations`)."""
-    S, _, _, _ = _smith_with_inverses(relations)
+    S = _smith_with_inverses(relations, ())[0]
     diag = S.diagonal()
     torsion = tuple(d for d in diag if d >= 2)
     nonzero = sum(1 for d in diag if d != 0)
@@ -538,9 +589,17 @@ class AbComplex:
         before any elimination, unless every map is well defined (diag(orders)
         lies in its kernel) and maps[n] o maps[n-1] = 0.
         """
-        if not (all(hom_is_well_defined(h) for h in self.maps) and self.is_complex()):
+        cols = []
+        for h in self.maps:
+            t = h.target.orders
+            hcols = [_reduced(col, t) for col in h.columns]
+            # well defined, read on the reduced columns: d * (x mod o) = d * x mod o
+            if any(d and any(not t[i] or d * x % t[i] for i, x in col.items())
+                   for d, col in zip(h.source.orders, hcols)):
+                break
+            cols.append(hcols)
+        if len(cols) < len(self.maps) or not self.is_complex():
             raise ArithmeticError("image does not lie in the kernel; not a complex")
-        cols = [[_reduced(col, h.target.orders) for col in h.columns] for h in self.maps]
         dead = [set() for _ in self.groups]
         for n, h in enumerate(self.maps):
             src = [c for c in range(h.source.ngens) if c not in dead[n]]
@@ -598,6 +657,11 @@ def _sparse_sum(terms):
     return {i: x for i, x in acc.items() if x}
 
 
+def _is_small_prime(n):
+    """n is a prime below 2**20 (larger orders take the gcd test)."""
+    return 1 < n < 1 << 20 and all(n % p for p in range(2, isqrt(n) + 1))
+
+
 def _markowitz_pivots(cols, rows, orders, col_orders=None):
     """The pivots (i, p) of _unit_eliminate, which eliminates each before
     asking for the next: units, gcd(entry, orders[i]) = 1, each of least
@@ -611,24 +675,37 @@ def _markowitz_pivots(cols, rows, orders, col_orders=None):
     pivot wrote or whose row shrank are pushed where they undercut a key.
     With col_orders, a unit counts only in a column p with col_orders[p] =
     orders[i].
-    """
-    def eligible(i, j):
-        return (gcd(cols[j][i], orders[i]) == 1
-                and (col_orders is None or col_orders[j] == orders[i]))
 
-    def push(j, key):
-        keys[j] = key
-        heappush(heap, (*key, j))
+    The unit rule of each row is taken once per call: entries of a finite
+    row are reduced and nonzero, so on a prime order each is a unit (test
+    None); otherwise the rule is gcd(entry, order) = 1, which is +-1 on a Z
+    row.
+    """
+    primes = {o for o in set(orders) if _is_small_prime(o)}
+    test = [None if o in primes else o for o in orders]
+
+    def unit(i, j):
+        t = test[i]
+        return ((t is None or gcd(cols[j][i], t) == 1)
+                and (col_orders is None or col_orders[j] == orders[i]))
 
     def rescan(j):
         # the factor nnz(column j) - 1 is common to the column's entries
-        least = min(((len(rows[i]), i) for i in cols[j] if eligible(i, j)), default=None)
-        if least is None:
+        col, row, least = cols[j], None, None
+        need = None if col_orders is None else col_orders[j]
+        for i, x in col.items():
+            t = test[i]
+            if ((t is None or gcd(x, t) == 1) and (need is None or need == orders[i])):
+                n = len(rows[i])
+                if least is None or n < least or (n == least and i < row):
+                    row, least = i, n
+        if row is None:
             keys.pop(j, None)
             return None
-        key = ((least[0] - 1) * (len(cols[j]) - 1), least[1])
+        key = ((least - 1) * (len(col) - 1), row)
         if keys.get(j) != key:
-            push(j, key)
+            keys[j] = key
+            heappush(heap, (*key, j))
         return key
 
     keys, heap = {}, []
@@ -638,18 +715,23 @@ def _markowitz_pivots(cols, rows, orders, col_orders=None):
         cost, i, p = heappop(heap)
         if keys.get(p) != (cost, i) or rescan(p) != (cost, i):
             continue
-        row_nnz = {r: len(rows[r]) for r in cols[p] if r != i}
-        col_nnz = {j: len(cols[j]) for j in rows[i]}
+        touched = rows[i].copy()
+        col_nnz = [(j, len(cols[j])) for j in touched]
+        row_nnz = [(r, len(rows[r])) for r in cols[p] if r != i]
         yield i, p
-        shrunk = {j for j, before in col_nnz.items() if len(cols[j]) < before}
-        for j in shrunk:
-            rescan(j)
-        for r, before in row_nnz.items():
-            c = len(rows[r]) - 1
-            for j in (rows[r] if c + 1 < before else rows[r] & col_nnz.keys()) - shrunk:
+        shrunk = set()
+        for j, before in col_nnz:
+            if len(cols[j]) < before:
+                shrunk.add(j)
+                rescan(j)
+        for r, before in row_nnz:
+            live = rows[r]
+            c = len(live) - 1
+            for j in (live if c < before - 1 else live & touched) - shrunk:
                 key, old = (c * (len(cols[j]) - 1), r), keys.get(j)
-                if (old is None or key < old) and eligible(r, j):
-                    push(j, key)
+                if (old is None or key < old) and unit(r, j):
+                    keys[j] = key
+                    heappush(heap, (*key, j))
 
 
 def _unit_eliminate(cols, orders, track=None, track_orders=None, col_orders=None):
@@ -765,7 +847,7 @@ def _sparse_kernel(cols, orders, track, track_orders):
     if not live:
         return gens
     if L:
-        S, _, V, _ = _smith_with_inverses(block)
+        S, _, V, _ = _smith_with_inverses(block, ("V",))
         diag = S.diagonal()
         diag += [0] * (len(live) - len(diag))
         kernel = [[L // gcd(d, L) * x for x in V.col(j)] for j, d in enumerate(diag)]
@@ -800,7 +882,7 @@ def _homology_factors(cx, n):
     #    block; each row left gives Z/gcd(S_ii, L) (S_ii = 0 past the diagonal).
     pivots = _unit_eliminate(Y, Lk)
     live, _, block = _residual_block(Y, Lk)
-    diag = _smith_with_inverses(block)[0].diagonal() if live else []
+    diag = _smith_with_inverses(block, ())[0].diagonal() if live else []
     factors = [gcd(d, L) for d in diag] + [L] * (k - len(pivots) - len(diag))
     return InvariantFactors(tuple([f for f in factors if f > 1]), factors.count(0))
 
@@ -817,10 +899,11 @@ def homology_at(cx, n, with_generators=False):
     call and shared by every degree), as does every question that needs no
     representative (Morita rows and ext counts, coboundary witnesses). A
     trivial group has the generators []. Otherwise they come from the dense
-    path on the `matrix` views of the original maps (_kernel_lattice,
-    solve_columns and a final SNF with its transforms): the extension and
-    Baer tables of `classify` and the CLI's --json output are built from
-    these representatives. Raises ArithmeticError when cx is not a complex.
+    path on the `matrix` views of the original maps: _kernel_lattice (an
+    SNF carrying V), solve_columns (U and V), kernel_basis of K (V) and a
+    final SNF carrying U^-1 alone. The extension and Baer tables of
+    `classify` and the CLI's --json output are built from these
+    representatives. Raises ArithmeticError when cx is not a complex.
 
     >>> Z = FinAbGroup((0,))
     >>> times2 = AbHom(Z, Z, IntegerMatrix.from_rows([[2]]))
@@ -843,7 +926,7 @@ def homology_at(cx, n, with_generators=False):
         raise ArithmeticError("image does not lie in the kernel; not a complex at this degree")
     N = kernel_basis(K)
     Q = W.hstack(N)
-    S, _, _, Ui = _smith_with_inverses(Q)
+    S, _, _, Ui = _smith_with_inverses(Q, ("Uinv",))
     diag = S.diagonal()
     torsion_positions = [(i, d) for i, d in enumerate(diag) if d >= 2]
     nonzero = sum(1 for d in diag if d != 0)

@@ -601,28 +601,38 @@ def refinement_map(space, coeffs, sigma_coarse, sigma_fine, refinement, n):
         refinement.theta(len(s) - 1, i) for s, i in zip(slots, label)))
 
 
-def _alpha_slot(slot, k, n, fine_cover, lam, lam_slots_pos, theta0, theta1, vertex_sub):
-    """alpha_k(lambda) at one increasing slot S of [n].
+def _alpha_recipes(n, slots, lam_pos, theta0, theta1, vertex_sub):
+    """alpha_k(lambda) at each increasing slot S of [n], for k < n, as a
+    recipe that depends on (k, S) alone: (theta, r, at, g), r = |S| - 1.
 
-    theta0/theta1 are per-level index maps; vertex_sub=True replaces theta1 by
-    the vertex-coherent substitution used in the constant-space comparison.
-    lam is a sigma-label over the level-(n-1) slots of the fine cover.
+    For a label lambda (a sigma-label over the level-(n-1) slots of the fine
+    cover, lam_pos giving each slot's position) the recipe reads
+    theta(r, lambda[at]), after the fine cover's jmap along the degeneracy
+    g when g is given (k and k+1 both in S). theta0/theta1 are per-level
+    index maps; vertex_sub=True replaces theta1 by the vertex-coherent
+    substitution of the constant-space comparison, recorded as theta None:
+    at then lists the vertex slots, and the value is the tuple of their
+    level-0 labels (the induced cover's level-0 labels are 1-tuples).
     """
-    S = slot
-    r = len(S) - 1
-    if not (k in S and k + 1 in S):
-        T = tuple(v if v <= k else v - 1 for v in S)
-        if S[0] <= k:
-            return theta0(r, lam[lam_slots_pos[T]])
-        if vertex_sub:
-            # vertex-coherent substitution: induced level-0 labels are 1-tuples
-            return tuple(lam[lam_slots_pos[(m,)]][0] for m in T)
-        return theta1(r, lam[lam_slots_pos[T]])
-    kp = S.index(k)
-    Spp = tuple(S[i] for i in range(kp + 1)) + tuple(S[i] - 1 for i in range(kp + 2, r + 1))
-    sub = lam[lam_slots_pos[Spp]]
-    lifted = fine_cover.jmap(MonotoneMap.degeneracy(r - 1, kp), sub)
-    return theta0(r, lifted)
+    recipes = []
+    for k in range(n):
+        row = []
+        for S in slots:
+            r = len(S) - 1
+            if k in S and k + 1 in S:
+                kp = S.index(k)
+                Spp = S[:kp + 1] + tuple(v - 1 for v in S[kp + 2:])
+                row.append((theta0, r, lam_pos[Spp], MonotoneMap.degeneracy(r - 1, kp)))
+                continue
+            T = tuple(v if v <= k else v - 1 for v in S)
+            if S[0] <= k:
+                row.append((theta0, r, lam_pos[T], None))
+            elif vertex_sub:
+                row.append((None, r, tuple(lam_pos[(m,)] for m in T), None))
+            else:
+                row.append((theta1, r, lam_pos[T], None))
+        recipes.append(row)
+    return recipes
 
 
 def homotopy_operator(space, coeffs, sigma_coarse, sigma_fine, fine_cover,
@@ -638,7 +648,7 @@ def homotopy_operator(space, coeffs, sigma_coarse, sigma_fine, fine_cover,
     the simplicial index structure (jmap) at the levels involved; theta0 and
     theta1 are refinement index maps from the fine to the coarse cover.
     vertex_sub=True takes the vertex-coherent substitution of the
-    constant-space comparison in place of theta1 (see _alpha_slot).
+    constant-space comparison in place of theta1 (see _alpha_recipes).
     """
     if not hasattr(fine_cover, "jmap"):
         raise ShapeError("the fine cover carries no simplicial index structure "
@@ -650,10 +660,13 @@ def homotopy_operator(space, coeffs, sigma_coarse, sigma_fine, fine_cover,
         t0 = theta0.theta if isinstance(theta0, Refinement) else theta0
         t1 = theta1.theta if isinstance(theta1, Refinement) else theta1
         etas = [MonotoneMap.degeneracy(n - 1, k) for k in range(n)]
+        recipes = _alpha_recipes(n, big_slots, lam_pos, t0, t1, vertex_sub)
+        jmap = fine_cover.jmap
         for lam in sigma_fine.indices(n - 1):
-            alphas = [tuple(_alpha_slot(S, k, n, fine_cover, lam, lam_pos, t0, t1, vertex_sub)
-                            for S in big_slots)
-                      for k in range(n)]
+            alphas = [tuple(tuple([lam[a][0] for a in at]) if theta is None
+                            else theta(r, lam[at] if g is None else jmap(g, lam[at]))
+                            for theta, r, at, g in row)
+                      for row in recipes]
             for v in sigma_fine.points_of(n - 1, lam):
                 fibers.append(coeffs.fiber(n - 1, v))
                 rows.append(tuple((cells.setdefault((alpha, space.smap(eta, v)), len(cells)),

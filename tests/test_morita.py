@@ -202,7 +202,7 @@ def test_two_fiber_cover_ext_classes():
 def _counting(monkeypatch, name):
     calls = []
     f = getattr(abelian, name)
-    monkeypatch.setattr(abelian, name, lambda *a: calls.append(a) or f(*a))
+    monkeypatch.setattr(abelian, name, lambda *a, **kw: calls.append(a) or f(*a, **kw))
     return calls
 
 
